@@ -48,8 +48,9 @@ timeIt(Fn &&fn)
 
 /**
  * LPT greedy makespan: longest unit first, each onto the least
- * loaded worker. Within 4/3 of optimal, and exactly the bound a
- * work-stealing schedule converges toward when units are plentiful.
+ * loaded worker. Within 4/3 of optimal; the campaign's shared cursor
+ * is the same greedy list schedule, in grid order instead of longest
+ * first.
  */
 double
 lptMakespan(std::vector<double> times, unsigned workers)

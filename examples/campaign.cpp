@@ -358,8 +358,8 @@ main(int argc, char **argv)
 
     // Determinism contract: merged stats are bit-identical to the
     // serial run because each cell's randomness depends only on
-    // (campaign seed, grid index) and the merge is by index -- with
-    // or without work stealing.
+    // (campaign seed, grid index) and the merge is by index --
+    // whichever worker runs each cell.
     runtime::SweepOptions serial = fast;
     serial.threads = 1;
     serial.verbose = false;

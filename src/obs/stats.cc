@@ -23,14 +23,6 @@ statName(Stat s)
         return "policy_hooks";
       case Stat::DetectorEpochs:
         return "detector_epochs";
-      case Stat::CellsStolen:
-        return "cells_stolen";
-      case Stat::StealAttempts:
-        return "steal_attempts";
-      case Stat::TasksExecuted:
-        return "tasks_executed";
-      case Stat::TasksStolen:
-        return "tasks_stolen";
     }
     panic("obs::statName: unknown Stat");
 }

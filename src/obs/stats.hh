@@ -14,10 +14,11 @@
  *    key, no branch on an "enabled" flag. The counter set is a closed
  *    enum so the storage is a flat array.
  *  - **Deterministic.** Counters advance only with simulated work,
- *    never with wall-clock, threads, or scheduling. A campaign cell
- *    runs start-to-finish on one worker, so the per-cell delta
- *    (snapshot before minus snapshot after, taken by the Campaign
- *    executor) is a pure function of (campaign seed, grid index) --
+ *    never with wall-clock, threads, or scheduling. A campaign (cell,
+ *    task) unit runs start-to-finish on one worker, so the per-unit
+ *    delta (snapshot before minus snapshot after, taken by the
+ *    Campaign executor) is a pure function of (campaign seed, grid
+ *    index, task index) --
  *    counter totals inherit the threads=N == threads=1 merge contract
  *    (tests/obs_test.cc pins this).
  *  - **Leaf dependency.** Everything from sim::EventQueue up may bump;
@@ -57,32 +58,10 @@ enum class Stat : unsigned
      */
     PolicyHooks,
     DetectorEpochs,  ///< CounterBus samples published.
-    /**
-     * Scheduling counters (CellsStolen through TasksStolen) are
-     * bumped by the work-stealing fabric and the campaign executor
-     * *between* schedulable units, outside every per-unit snapshot
-     * window, so per-cell deltas report them as 0 at any thread count
-     * and the threads=N == threads=1 contract holds. Their totals
-     * depend on scheduling and are surfaced through
-     * CampaignStats/FabricStatus instead.
-     */
-    CellsStolen,     ///< Fabric units taken from another worker.
-    StealAttempts,   ///< StealFabric probes of foreign queues.
-    /**
-     * Task counters: a campaign's schedulable unit is one (cell,
-     * task) pair under the sub-cell decomposition contract, so
-     * TasksExecuted counts every unit run (monolithic cells count as
-     * one task) and TasksStolen the units that ran on a worker other
-     * than their seeded one. TasksStolen totals match CellsStolen for
-     * campaign runs (the fabric's unit *is* the task); they diverge
-     * only for direct StealFabric users, which bump CellsStolen only.
-     */
-    TasksExecuted,   ///< Campaign (cell, task) units executed.
-    TasksStolen,     ///< Campaign units run on a stealing worker.
 };
 
 /** Number of Stat enumerators. */
-constexpr std::size_t kStatCount = 11;
+constexpr std::size_t kStatCount = 7;
 
 /** Stable snake_case name of @p s ("sim_events", ...). */
 const char *statName(Stat s);
@@ -138,8 +117,8 @@ struct StatSnapshot
 
     /**
      * The snapshot as (name, value) pairs in enum order -- the shape
-     * runtime::ScenarioResult::counters carries across the campaign
-     * result ring.
+     * runtime::ScenarioResult::counters carries from the worker that
+     * ran a unit to its cell's fold.
      */
     std::vector<std::pair<std::string, std::uint64_t>> toCounters() const;
 };

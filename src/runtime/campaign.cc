@@ -1,13 +1,18 @@
 #include "campaign.hh"
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <condition_variable>
 #include <cstdlib>
-#include <memory>
+#include <cstring>
+#include <iterator>
+#include <mutex>
 #include <thread>
 
 #include "obs/stats.hh"
 #include "obs/trace.hh"
-#include "runtime/spsc_ring.hh"
 #include "sim/logging.hh"
 
 namespace pktchase::runtime
@@ -17,8 +22,14 @@ unsigned
 defaultThreads()
 {
     if (const char *env = std::getenv("PKTCHASE_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
+        // All digits and in [1, UINT_MAX]: a bare strtol would read
+        // "2abc" as 2 and wrap "4294967298" to 2.
+        const bool digits =
+            *env != '\0' && env[std::strspn(env, "0123456789")] == '\0';
+        errno = 0;
+        const unsigned long long n =
+            digits ? std::strtoull(env, nullptr, 10) : 0;
+        if (errno == 0 && n >= 1 && n <= UINT_MAX)
             return static_cast<unsigned>(n);
         warn("ignoring invalid PKTCHASE_THREADS value");
     }
@@ -55,20 +66,21 @@ Campaign::run(const std::vector<Scenario> &grid,
 
     // The schedulable unit is one (cell, task) pair: monolithic cells
     // contribute one unit, decomposed cells Scenario::tasks units.
-    // Units are flattened in (cell, task) order so the fabric's
-    // round-robin pre-fill spreads a heavy cell's tasks across
-    // workers from the start.
+    // Units are flattened in (cell, task) order, so cell k's units are
+    // the contiguous range [first[k], first[k + 1]).
     struct TaskUnit
     {
         std::size_t slot; ///< Position in subset / results.
         std::size_t task; ///< Task index within the cell.
     };
     std::vector<TaskUnit> units;
+    std::vector<std::size_t> first(subset.size() + 1, 0);
     for (std::size_t k = 0; k < subset.size(); ++k) {
         const Scenario &sc = grid[subset[k]];
         validateScenario(sc);
         for (std::size_t t = 0; t < sc.taskCount(); ++t)
             units.push_back({k, t});
+        first[k + 1] = units.size();
     }
 
     unsigned threads = cfg_.threads ? cfg_.threads : defaultThreads();
@@ -92,10 +104,10 @@ Campaign::run(const std::vector<Scenario> &grid,
         const Scenario &sc = grid[index];
         // Profile windows bracket the unit exactly like the counter
         // snapshot: discard whatever accumulated since the thread's
-        // last unit (scheduling, ring backoff), run, then drain this
-        // unit's stats into the result. Units run start-to-finish on
-        // one thread, so the drained window is exactly this task's
-        // spans regardless of which worker ran it.
+        // last unit, run, then drain this unit's stats into the
+        // result. Units run start-to-finish on one thread, so the
+        // drained window is exactly this task's spans regardless of
+        // which worker ran it.
         const bool prof = obs::profiling();
         if (prof)
             obs::drainProfile();
@@ -118,10 +130,10 @@ Campaign::run(const std::vector<Scenario> &grid,
         return r;
     };
 
-    // Fold a cell's ordered parts into results[slot]. Driver-side (or
-    // serial): fold is pure, so where it runs cannot matter -- keeping
-    // it off the workers means a cell's fold never competes with
-    // another cell's simulation for the worker's cache.
+    // Fold a cell's ordered parts into results[slot], then report it.
+    // Both paths call this on the thread that called run(): fold is
+    // pure, so where it runs cannot change a result, and onResult
+    // callbacks never need to synchronize.
     auto finishCell = [&](std::size_t slot,
                           std::vector<ScenarioResult> &&parts) {
         results[slot] = foldScenarioParts(grid[subset[slot]],
@@ -134,16 +146,13 @@ Campaign::run(const std::vector<Scenario> &grid,
     if (threads <= 1) {
         // Serial reference path: units in (cell, task) order, same
         // per-unit seeding and snapshot windows as the parallel path,
-        // trivial merge. The scheduling bump lands between snapshot
-        // windows so per-task deltas stay scheduling-free.
+        // trivial merge.
         for (std::size_t k = 0; k < subset.size(); ++k) {
             const std::size_t count = grid[subset[k]].taskCount();
             std::vector<ScenarioResult> parts;
             parts.reserve(count);
-            for (std::size_t t = 0; t < count; ++t) {
+            for (std::size_t t = 0; t < count; ++t)
                 parts.push_back(runUnit(k, t));
-                obs::bump(obs::Stat::TasksExecuted);
-            }
             finishCell(k, std::move(parts));
         }
         stats_.scenariosRun = subset.size();
@@ -153,99 +162,61 @@ Campaign::run(const std::vector<Scenario> &grid,
         return results;
     }
 
-    // The work-stealing fabric schedules unit indices: unit u seeds
-    // worker u % N's queue (static-shard placement), and idle workers
-    // steal the tail of skewed grids instead of spinning. With every
-    // cell monolithic this degenerates to the old cell-granular
-    // schedule; a decomposed heavy cell's tasks spread across workers,
-    // which is what breaks the tail-cell makespan bound.
-    StealFabric fabric(units.size(), threads, cfg_.stealQueueCapacity);
+    // Parallel path: one shared cursor over the units in (cell, task)
+    // order. A worker claims unit u with a fetch_add and writes its
+    // result into the preallocated parts[u]; then, under the mutex, it
+    // counts down the cell's outstanding tasks, and the worker that
+    // finishes a cell's last task queues the cell and wakes this
+    // thread. Each part is written before its worker takes the mutex,
+    // and this thread reads a cell's parts only after taking it, so
+    // the handoff needs no other synchronization.
+    std::vector<ScenarioResult> parts(units.size());
+    std::atomic<std::size_t> cursor{0};
 
-    // One SPSC result ring per worker carrying (slot, task, partial)
-    // envelopes: the worker is the only producer, this (driver)
-    // thread the only consumer.
-    struct TaskEnvelope
-    {
-        std::size_t slot = 0;
-        std::size_t task = 0;
-        ScenarioResult result;
-    };
-    std::vector<std::unique_ptr<SpscRing<TaskEnvelope>>> rings;
-    rings.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w)
-        rings.push_back(std::make_unique<SpscRing<TaskEnvelope>>(
-            cfg_.ringCapacity));
-
-    // Per-worker stats shards, published by the join below.
-    std::vector<std::uint64_t> fullRetries(threads, 0);
+    std::mutex mu; ///< Guards remaining and ready.
+    std::vector<std::size_t> remaining(subset.size());
+    for (std::size_t k = 0; k < subset.size(); ++k)
+        remaining[k] = first[k + 1] - first[k];
+    std::vector<std::size_t> ready; ///< Cells with every part written.
+    std::condition_variable cellReady;
 
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned w = 0; w < threads; ++w) {
         workers.emplace_back([&, w] {
             obs::attachWorkerThread(w);
-            std::size_t u = 0;
-            bool stolen = false;
-            while (fabric.next(w, u, stolen)) {
-                TaskEnvelope env;
-                env.slot = units[u].slot;
-                env.task = units[u].task;
-                env.result = runUnit(env.slot, env.task);
-                // Scheduling counters land between the per-unit
-                // snapshot windows, so per-task deltas report 0.
-                obs::bump(obs::Stat::TasksExecuted);
-                if (stolen)
-                    obs::bump(obs::Stat::TasksStolen);
-                while (!rings[w]->tryPush(std::move(env))) {
-                    // Ring full: the driver is behind. Back off; the
-                    // envelope stays intact because a failed tryPush
-                    // never moves from its argument.
-                    ++fullRetries[w];
-                    std::this_thread::yield();
+            for (std::size_t u = cursor.fetch_add(1); u < units.size();
+                 u = cursor.fetch_add(1)) {
+                const std::size_t slot = units[u].slot;
+                parts[u] = runUnit(slot, units[u].task);
+                const std::lock_guard<std::mutex> lock(mu);
+                if (--remaining[slot] == 0) {
+                    ready.push_back(slot);
+                    cellReady.notify_one();
                 }
             }
             obs::detachWorkerThread();
         });
     }
 
-    // Drain rings, accumulating each cell's parts by task index and
-    // folding as soon as its last task lands, until every cell has
-    // reported. Completion order is scheduling-dependent; the fold
-    // input order (task index) and the merge order (slot) are not.
-    struct CellAccum
-    {
-        std::vector<ScenarioResult> parts;
-        std::size_t remaining = 0;
-    };
-    std::vector<CellAccum> accum(subset.size());
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-        accum[k].remaining = grid[subset[k]].taskCount();
-        accum[k].parts.resize(accum[k].remaining);
-    }
-
-    std::size_t collectedCells = 0;
-    while (collectedCells < subset.size()) {
-        bool progress = false;
-        for (unsigned w = 0; w < threads; ++w) {
-            TaskEnvelope env;
-            while (rings[w]->tryPop(env)) {
-                CellAccum &a = accum[env.slot];
-                a.parts[env.task] = std::move(env.result);
-                if (--a.remaining == 0) {
-                    finishCell(env.slot, std::move(a.parts));
-                    ++collectedCells;
-                }
-                progress = true;
-            }
+    // Fold each cell once its last part lands. Completion order is
+    // scheduling-dependent; the fold input order (task index) and the
+    // merge order (slot) are not.
+    std::vector<std::size_t> batch;
+    for (std::size_t folded = 0; folded < subset.size();
+         folded += batch.size()) {
+        batch.clear();
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cellReady.wait(lock, [&] { return !ready.empty(); });
+            batch.swap(ready);
         }
-        if (cfg_.onTick)
-            cfg_.onTick(fabric.status());
-        if (!progress) {
-            // Scenarios run for milliseconds to seconds; don't burn a
-            // core busy-polling empty rings while the workers (which
-            // may already cover every hardware thread) compute.
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
+        for (std::size_t k : batch)
+            finishCell(k, std::vector<ScenarioResult>(
+                              std::make_move_iterator(
+                                  parts.begin() + first[k]),
+                              std::make_move_iterator(
+                                  parts.begin() + first[k + 1])));
     }
 
     for (std::thread &t : workers)
@@ -253,10 +224,6 @@ Campaign::run(const std::vector<Scenario> &grid,
 
     stats_.scenariosRun = subset.size();
     stats_.tasksRun = units.size();
-    for (std::uint64_t retries : fullRetries)
-        stats_.ringFullRetries += retries;
-    stats_.tasksStolen = fabric.cellsStolen();
-    stats_.stealAttempts = fabric.stealAttempts();
     stats_.wallSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
     return results;

@@ -1,25 +1,21 @@
 /**
  * @file
- * The Campaign executor: schedule a scenario grid across worker
- * threads on the work-stealing fabric, hand results back over
- * lock-free SPSC rings, merge deterministically.
+ * The Campaign executor: run a scenario grid across worker threads
+ * and merge the results deterministically.
  *
  * The schedulable unit is one (cell, task) pair: a monolithic cell is
  * one unit, a cell on the sub-cell decomposition contract
  * (Scenario::tasks/runTask/fold, see scenario.hh) is Scenario::tasks
  * units -- so a single heavy trial-loop cell spreads across workers
- * instead of bounding the makespan. Scheduling is the StealFabric's:
- * unit u seeds worker u % N's queue (the old static-shard placement),
- * but an idle worker steals from loaded neighbours instead of
- * exiting. Each worker pushes finished task results into its own
- * SpscRing as (slot, task, partial) envelopes; the driver thread
- * polls the rings, accumulates each cell's parts by task index, folds
- * a cell the moment its last task lands, and places the folded result
- * at its grid index. Because every task's randomness derives only
- * from (campaign seed, grid index, task index) -- never from the
- * worker that happened to run it -- the fold input is ordered by task
- * index, and the merge is by grid index, a run with N threads is
- * bit-identical to threads=1 whether or not any unit was stolen; the
+ * instead of bounding the makespan. Workers claim units in (cell,
+ * task) order from one shared atomic cursor and write each result
+ * into a preallocated slot. The thread that called run() folds a cell
+ * from its slots, in task order, once the cell's last task has
+ * finished, and places the folded result at its grid index. Because
+ * every task's randomness derives only from (campaign seed, grid
+ * index, task index) -- never from the worker that happened to run
+ * it -- the fold input is ordered by task index, and the merge is by
+ * grid index, a run with N threads is bit-identical to threads=1; the
  * determinism tests assert that byte-for-byte on the formatted
  * report.
  *
@@ -36,7 +32,6 @@
 #include <functional>
 #include <vector>
 
-#include "runtime/fabric/fabric.hh"
 #include "runtime/scenario.hh"
 
 namespace pktchase::runtime
@@ -51,30 +46,16 @@ struct CampaignConfig
     /** Campaign seed every scenario stream is split from. */
     std::uint64_t seed = 1;
 
-    /** Per-worker result-ring capacity (rounded up to a power of 2). */
-    std::size_t ringCapacity = 64;
-
-    /** Per-worker fabric queue capacity; overflow spills into the
-     *  shared injection queue. */
-    std::size_t stealQueueCapacity = StealFabric::kDefaultQueueCapacity;
-
     /**
-     * Called on the driver thread as each result is collected, in
-     * completion order (NOT grid order -- completion order depends on
-     * thread scheduling; only the merged results are deterministic).
+     * Called on the thread that called run(), once per cell as it is
+     * folded, in completion order (NOT grid order -- completion order
+     * depends on thread scheduling; only the merged results are
+     * deterministic).
      */
     std::function<void(const ScenarioResult &)> onResult;
-
-    /**
-     * Called on the driver thread each collection pass with a live
-     * fabric sample (queue depths, steals). Purely observational --
-     * sampling never touches results. Not called on serial runs
-     * (threads <= 1), which have no fabric.
-     */
-    std::function<void(const FabricStatus &)> onTick;
 };
 
-/** Execution counters, aggregated from the per-worker shards. */
+/** Execution counters of one run(). */
 struct CampaignStats
 {
     std::size_t scenariosRun = 0;
@@ -82,12 +63,10 @@ struct CampaignStats
      *  cell decomposes. */
     std::size_t tasksRun = 0;
     unsigned threadsUsed = 0;
-    /** Producer-side full-ring retries (backpressure indicator). */
-    std::uint64_t ringFullRetries = 0;
-    /** Units a worker stole from another worker's queue (task
-     *  granularity under the decomposition contract). */
+    /** Always 0: workers claim units from one shared cursor, so no
+     *  unit is ever stolen. Kept only because perfbench/paperbench.cc
+     *  reads both for its runtime.steal_hit_ratio metric. */
     std::uint64_t tasksStolen = 0;
-    /** Steal probes of foreign queues, successful or not. */
     std::uint64_t stealAttempts = 0;
     /** Wall-clock seconds for the whole grid (not deterministic). */
     double wallSeconds = 0.0;
@@ -129,7 +108,8 @@ class Campaign
 
 /**
  * Worker-thread count used when CampaignConfig::threads == 0: the
- * PKTCHASE_THREADS environment variable when set, otherwise
+ * PKTCHASE_THREADS environment variable when it is all digits and in
+ * [1, UINT_MAX] (any other value warns and is ignored), otherwise
  * max(4, hardware concurrency) -- the Fig. 14 sweep is specified to
  * run across at least four workers.
  */

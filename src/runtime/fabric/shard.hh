@@ -1,6 +1,6 @@
 /**
  * @file
- * The multi-process shard layer of the campaign fabric: deterministic
+ * The multi-process shard layer of the campaign runtime: deterministic
  * grid slices, mergeable per-shard reports, and the merge validator.
  *
  * One machine's campaign is bounded by its cores; the shard layer
@@ -11,9 +11,8 @@
  *     ...
  *     campaign --merge full.json s0.json s1.json s2.json s3.json
  *
- * Shard i/N runs cells {i, i+N, i+2N, ...} of the full grid -- the
- * same round-robin placement the in-process fabric seeds its queues
- * with. Cells keep their *full-grid* indices, so their seeds (and
+ * Shard i/N runs cells {i, i+N, i+2N, ...} of the full grid. Cells
+ * keep their *full-grid* indices, so their seeds (and
  * therefore their results) are bit-identical to an unsharded run; the
  * merged report is byte-identical to the report an unsharded
  * `--report` run writes, which the CI shard matrix verifies with cmp.

@@ -29,7 +29,7 @@
  *    simulation, no Rng), so folding on the driver thread after an
  *    arbitrary completion order reproduces the serial loop exactly;
  *  - therefore threads=N == threads=1 == runScenarioMonolithic()
- *    bit-identically, task stealing included -- the same contract
+ *    bit-identically, whichever worker runs each task -- the same contract
  *    cells already obey, pushed one level down.
  *
  * The default (tasks = 1, no runTask) changes nothing: a monolithic

@@ -16,18 +16,17 @@ namespace
 {
 
 /**
- * Throttled "cells done/total" line on stderr, with the fabric's
- * per-worker queue depths and steal counters when the campaign runs
- * in parallel. Progress is cosmetic: it is driven from Campaign's
- * onResult/onTick hooks (driver thread only, so no locking) and never
- * touches the results, keeping the merged output bit-identical with
- * progress on or off.
+ * Throttled "cells done/total" line on stderr. Progress is cosmetic:
+ * it is driven from Campaign's onResult hook (which runs on the thread
+ * that called Campaign::run, so no locking) and never touches the
+ * results, keeping the merged output bit-identical with progress on or
+ * off.
  */
 class ProgressMeter
 {
   public:
-    ProgressMeter(std::size_t total, std::size_t taskTotal, bool rich)
-        : total_(total), taskTotal_(taskTotal), rich_(rich),
+    ProgressMeter(std::size_t total, bool rich)
+        : total_(total), rich_(rich),
           start_(std::chrono::steady_clock::now())
     {
     }
@@ -39,14 +38,6 @@ class ProgressMeter
         if (rich_ && !r.profile.empty())
             obs::mergeProfileInto(profile_, r.profile);
         maybePaint(done_ == total_);
-    }
-
-    void
-    onTick(const FabricStatus &status)
-    {
-        fabric_ = status;
-        haveFabric_ = true;
-        maybePaint(false);
     }
 
     ~ProgressMeter()
@@ -70,31 +61,9 @@ class ProgressMeter
             std::chrono::duration<double>(now - start_).count();
         std::string line = "\r  [" + std::to_string(done_) + "/" +
                            std::to_string(total_) + " cells, ";
-        // Task depth: only worth a column when some cell decomposes
-        // into sub-cell tasks (taskTotal > cellTotal). Done-counts
-        // come from the fabric sample, so serial runs (no fabric)
-        // skip it too.
-        if (taskTotal_ > total_ && haveFabric_)
-            line += std::to_string(fabric_.cellsExecuted) + "/" +
-                    std::to_string(taskTotal_) + " tasks, ";
         char buf[48];
         std::snprintf(buf, sizeof(buf), "%.1f s", elapsed);
         line += buf;
-        if (haveFabric_) {
-            // "q 3/2/0/1+4" = per-worker queue depths, "+N" the
-            // injection-queue spill; steals as hits/attempts.
-            line += " | q ";
-            for (std::size_t w = 0; w < fabric_.queueDepth.size(); ++w) {
-                if (w)
-                    line += '/';
-                line += std::to_string(fabric_.queueDepth[w]);
-            }
-            if (fabric_.injectionDepth)
-                line += "+" + std::to_string(fabric_.injectionDepth);
-            line += " | steals " +
-                    std::to_string(fabric_.cellsStolen) + "/" +
-                    std::to_string(fabric_.stealAttempts);
-        }
         // Rich mode: the hottest phase by accumulated self time and
         // its share -- the profile's headline number, live.
         if (rich_) {
@@ -122,12 +91,9 @@ class ProgressMeter
     }
 
     const std::size_t total_;
-    const std::size_t taskTotal_;
     const bool rich_;
     obs::ProfileDelta profile_; ///< Rich mode: finished cells' sum.
     std::size_t done_ = 0;
-    FabricStatus fabric_;
-    bool haveFabric_ = false;
     const std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point lastPaint_{};
     static constexpr std::chrono::milliseconds throttle_{200};
@@ -142,26 +108,13 @@ sweep(const std::vector<Scenario> &grid, const SweepOptions &opt)
     cfg.threads = opt.threads;
     cfg.seed = opt.seed;
 
-    const std::size_t cells =
-        opt.subset.empty() ? grid.size() : opt.subset.size();
-    std::size_t tasks = 0;
-    if (opt.subset.empty()) {
-        for (const Scenario &s : grid)
-            tasks += s.taskCount();
-    } else {
-        for (std::size_t index : opt.subset)
-            tasks += grid[index].taskCount();
-    }
-
     std::unique_ptr<ProgressMeter> meter;
     if (!opt.quiet && isatty(fileno(stderr))) {
-        meter = std::make_unique<ProgressMeter>(cells, tasks,
-                                                opt.richProgress);
+        meter = std::make_unique<ProgressMeter>(
+            opt.subset.empty() ? grid.size() : opt.subset.size(),
+            opt.richProgress);
         cfg.onResult = [&meter](const ScenarioResult &r) {
             meter->onCell(r);
-        };
-        cfg.onTick = [&meter](const FabricStatus &status) {
-            meter->onTick(status);
         };
     }
 
@@ -174,13 +127,10 @@ sweep(const std::vector<Scenario> &grid, const SweepOptions &opt)
     if (opt.verbose) {
         const CampaignStats &s = campaign.stats();
         std::printf("  [campaign: %zu cells (%zu tasks) on %u threads, "
-                    "seed %llu, %.2f s, %llu stolen/%llu steal "
-                    "attempts]\n\n",
+                    "seed %llu, %.2f s]\n\n",
                     s.scenariosRun, s.tasksRun, s.threadsUsed,
                     static_cast<unsigned long long>(cfg.seed),
-                    s.wallSeconds,
-                    static_cast<unsigned long long>(s.tasksStolen),
-                    static_cast<unsigned long long>(s.stealAttempts));
+                    s.wallSeconds);
     }
     return results;
 }

@@ -4,7 +4,7 @@
  *
  * runtime::sweep() is the one call a bench needs: it resolves the
  * worker-thread count (PKTCHASE_THREADS overrides the default), runs
- * the grid through a Campaign on the work-stealing fabric, optionally
+ * the grid through a Campaign across worker threads, optionally
  * narrates progress, and returns merged results in grid order for the
  * caller to format into its paper-style table. A name-based overload
  * pulls the grid from the ScenarioRegistry so front-ends can expose
@@ -34,9 +34,7 @@ struct SweepOptions
     bool verbose = true;         ///< Print the thread/cell/time banner.
     /** Suppress live progress. Progress also stays off when stderr is
      *  not a TTY (CI logs, redirections), so only interactive runs see
-     *  the "cells done/total" line. When on, the line also reports the
-     *  per-worker fabric queue depths and the steal counters, so a
-     *  skewed grid is diagnosable from the terminal. */
+     *  the "cells done/total" line. */
     bool quiet = false;
     /** Rich progress (--progress=rich): the live line additionally
      *  shows the hottest profiled phase and its share of self time,

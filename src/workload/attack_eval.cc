@@ -267,8 +267,8 @@ fig20FingerprintGrid()
         runtime::Scenario sc;
         sc.name = "fig20/" + cell.name();
         // One task per classification trial: the heaviest cells stop
-        // bounding the campaign makespan, and a stolen task costs one
-        // trial, not twenty.
+        // bounding the campaign makespan, and the last unit a worker
+        // claims costs one trial, not twenty.
         sc.tasks = fig20Config(0).trials;
         sc.runTask = [cell](runtime::TaskContext &t) {
             const std::uint64_t axis = runtime::splitSeed(

@@ -71,7 +71,7 @@ TEST(ObsStats, StatNamesAreUniqueAndStable)
         for (std::size_t j = i + 1; j < names.size(); ++j)
             EXPECT_NE(names[i], names[j]);
     EXPECT_EQ(names.front(), "sim_events");
-    EXPECT_EQ(names.back(), "tasks_stolen");
+    EXPECT_EQ(names.back(), "detector_epochs");
 }
 
 TEST(ObsStatsDeathTest, BackwardsSubtractionPanics)

@@ -1,15 +1,20 @@
 /**
  * @file
- * Tests for the campaign runtime: scenario seeding, the registry, and
- * the core determinism contract -- a Campaign run on 8 worker threads
- * merges to byte-identical stats as the same campaign on 1 thread.
+ * Tests for the campaign runtime: scenario seeding, the registry,
+ * PKTCHASE_THREADS parsing, and the core determinism contract -- a
+ * Campaign run on 8 worker threads merges to byte-identical stats as
+ * the same campaign on 1 thread, with every fold and onResult callback
+ * on the thread that called Campaign::run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/campaign.hh"
@@ -131,8 +136,8 @@ TEST(Campaign, ThreadsClampToGridSize)
 
 TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
 {
-    // A grid much larger than the ring capacity, so workers wrap their
-    // rings and exercise backpressure while the driver merges.
+    // Many more cells than workers, so every worker claims several
+    // units while the calling thread folds.
     const std::size_t kCells = 64;
     const std::uint64_t kSeed = 0xC0FFEE;
 
@@ -144,7 +149,6 @@ TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
     CampaignConfig parallel;
     parallel.threads = 8;
     parallel.seed = kSeed;
-    parallel.ringCapacity = 4; // force ring wrap + full-ring retries
     std::atomic<std::size_t> callbacks{0};
     parallel.onResult = [&callbacks](const ScenarioResult &) {
         ++callbacks;
@@ -156,6 +160,87 @@ TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
     EXPECT_EQ(callbacks.load(), kCells);
     ASSERT_EQ(out.size(), ref.size());
     EXPECT_EQ(formatReport(out), formatReport(ref));
+}
+
+/**
+ * Every fold and every onResult callback runs on the thread that
+ * called Campaign::run, never on a worker, so callers may accumulate
+ * into unsynchronized state from either.
+ */
+TEST(Campaign, FoldsAndCallbacksRunOnTheCallingThread)
+{
+    std::mutex mu; // Keeps the test race-free if the contract breaks.
+    std::vector<std::thread::id> foldThreads, resultThreads;
+
+    std::vector<Scenario> grid = stochasticGrid(2);
+    for (std::size_t i = 0; i < 12; ++i) {
+        Scenario sc;
+        sc.name = "fold/" + std::to_string(i);
+        sc.tasks = 3;
+        sc.runTask = [](TaskContext &t) {
+            ScenarioResult r;
+            r.set("draw", static_cast<double>(t.rng.nextBounded(1000)));
+            return r;
+        };
+        sc.fold = [&mu, &foldThreads](
+                      const std::vector<ScenarioResult> &parts) {
+            {
+                const std::lock_guard<std::mutex> lock(mu);
+                foldThreads.push_back(std::this_thread::get_id());
+            }
+            double sum = 0.0;
+            for (const ScenarioResult &p : parts)
+                sum += p.value("draw");
+            ScenarioResult r;
+            r.set("sum", sum);
+            return r;
+        };
+        grid.push_back(std::move(sc));
+    }
+
+    CampaignConfig cfg;
+    cfg.threads = 4;
+    cfg.onResult = [&mu, &resultThreads](const ScenarioResult &) {
+        const std::lock_guard<std::mutex> lock(mu);
+        resultThreads.push_back(std::this_thread::get_id());
+    };
+    Campaign c(cfg);
+    const auto results = c.run(grid);
+
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(c.stats().threadsUsed, 4u);
+    ASSERT_EQ(results.size(), grid.size());
+    ASSERT_EQ(foldThreads.size(), 12u);
+    ASSERT_EQ(resultThreads.size(), grid.size());
+    for (const std::thread::id &id : foldThreads)
+        EXPECT_EQ(id, caller);
+    for (const std::thread::id &id : resultThreads)
+        EXPECT_EQ(id, caller);
+}
+
+/** PKTCHASE_THREADS counts only when it is all digits in
+ *  [1, UINT_MAX]; anything else warns and takes the default. */
+TEST(Campaign, DefaultThreadsAcceptsOnlyAllDigitValues)
+{
+    const char *prior = std::getenv("PKTCHASE_THREADS");
+    const std::string saved = prior ? prior : "";
+    const bool hadPrior = prior != nullptr;
+
+    unsetenv("PKTCHASE_THREADS");
+    const unsigned fallback = defaultThreads();
+    EXPECT_GE(fallback, 4u);
+
+    setenv("PKTCHASE_THREADS", "3", 1);
+    EXPECT_EQ(defaultThreads(), 3u);
+    for (const char *bad : {"2abc", "4294967298", "0", "-1", ""}) {
+        setenv("PKTCHASE_THREADS", bad, 1);
+        EXPECT_EQ(defaultThreads(), fallback) << '"' << bad << '"';
+    }
+
+    if (hadPrior)
+        setenv("PKTCHASE_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("PKTCHASE_THREADS");
 }
 
 TEST(Campaign, DifferentSeedsDiffer)

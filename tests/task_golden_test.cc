@@ -3,7 +3,7 @@
  * Golden pins for the task-decomposed attacker grids (ctest label
  * `golden`): the full fig20 and fig13 merged reports, byte for byte,
  * at campaign seed 1 -- through the serial task loop (threads=1), the
- * work-stealing fabric (threads=4), and the runScenarioMonolithic
+ * parallel scheduler (threads=4), and the runScenarioMonolithic
  * reference, which the decomposition contract requires to agree
  * bit-identically.
  *

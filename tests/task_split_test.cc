@@ -5,8 +5,8 @@
  * grid-wiring checks, fold ordering, the monolithic reference runner,
  * and the campaign-level guarantees -- threads=N == threads=1 ==
  * runScenarioMonolithic byte-for-byte, per-cell counter deltas equal
- * to the element-wise sum of task deltas, subsets, and the
- * tasks_executed accounting.
+ * to the element-wise sum of task deltas, subsets, and the tasksRun
+ * accounting.
  */
 
 #include <cstdint>
@@ -248,10 +248,6 @@ TEST(TaskCampaign, PerCellCountersSumTaskDeltasAcrossThreadCounts)
         for (std::size_t t = 0; t < grid[i].taskCount(); ++t)
             frames += i + t;
         EXPECT_EQ(ref[i].counter("frames_delivered"), frames);
-        // Scheduling counters are bumped outside the per-unit
-        // snapshot windows, so cell deltas never see them.
-        EXPECT_EQ(ref[i].counter("tasks_executed"), 0u);
-        EXPECT_EQ(ref[i].counter("tasks_stolen"), 0u);
     }
 }
 

@@ -9,12 +9,12 @@ Replays an LPT (longest-processing-time) greedy schedule over the
 per-cell unit timings bench_task_makespan recorded: sort the work
 units longest first, hand each to the least loaded worker, report the
 loaded worker's finish time. LPT is within 4/3 of the optimal
-makespan and is the bound a work-stealing scheduler converges toward
-once units are plentiful, so the model predicts what
+makespan; the campaign's shared cursor runs the same greedy list
+schedule in grid order, so the model estimates what
 examples/campaign --threads=N achieves without re-running the grids.
 
 Granularity 'cell' schedules each cell's full serial time as one
-unit (the pre-decomposition fabric); 'task' schedules max_task_sec
+unit (pre-decomposition scheduling); 'task' schedules max_task_sec
 units -- the artifact records per-cell totals and maxima, so task
 units are reconstructed as (tasks - 1) average-sized units plus one
 maximum-sized unit per cell, a conservative (pessimistic) split.
