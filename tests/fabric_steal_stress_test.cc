@@ -1,152 +1,52 @@
 /**
  * @file
- * ThreadSanitizer stress for the work-stealing fabric, the MPMC
- * counterpart of tests/runtime_spsc_ring_test.cc's stress:
+ * Cell-level stress test for the campaign scheduler, built to run
+ * under ThreadSanitizer (CI's tsan job). The name dates from the
+ * work-stealing fabric it was first written against; the checks now
+ * target the shared-cursor scheduler. Skewed monolithic grids -- a few
+ * cells far heavier than the rest -- run at threads=4 and must:
  *
- *  1. raw MPMC ring: 4 producers x 4 consumers push 1M tagged items
- *     through a deliberately small ring -- every item arrives exactly
- *     once (no loss, no duplication) and each producer's items arrive
- *     in its push order per consumer-observed subsequence... the ring
- *     only guarantees exactly-once here, which is what we assert;
- *  2. StealFabric on a steal-heavy skewed workload: 4 workers, a few
- *     cells 100x longer than the rest, every cell executed exactly
- *     once, with steals actually observed;
- *  3. the campaign determinism contract under stealing: a skewed
- *     stochastic grid merged from 4 workers is byte-identical to the
- *     serial run even though the steal schedule is nondeterministic.
+ *  - merge to a report byte-identical to the serial run, per-cell
+ *    counter deltas included;
+ *  - run a subset (shard slice) bit-identically to the same cells of
+ *    a full run.
  *
- * CI runs this binary in the TSan job alongside the SPSC stress.
+ * The task-level case lives in task_steal_stress_test.cc.
  */
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <thread>
-#include <vector>
-
 #include "runtime/campaign.hh"
-#include "runtime/fabric/fabric.hh"
-#include "runtime/fabric/mpmc_ring.hh"
 #include "runtime/scenario.hh"
-
-using namespace pktchase;
-using namespace pktchase::runtime;
 
 namespace
 {
 
-TEST(MpmcRingStress, FourProducersFourConsumersNoLossNoDup)
-{
-    constexpr std::size_t kProducers = 4;
-    constexpr std::size_t kConsumers = 4;
-    constexpr std::uint64_t kPerProducer = 250'000; // 1M items total.
-    constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+using namespace pktchase;
 
-    MpmcRing<std::uint64_t> ring(64); // Small: constant wraparound.
-    std::vector<std::atomic<std::uint32_t>> hits(kTotal);
-    for (auto &h : hits)
-        h.store(0, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> consumed{0};
-
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&ring, p] {
-            for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-                std::uint64_t item = p * kPerProducer + i;
-                while (!ring.tryPush(std::move(item)))
-                    std::this_thread::yield();
-            }
-        });
-    }
-
-    std::vector<std::thread> consumers;
-    for (std::size_t c = 0; c < kConsumers; ++c) {
-        consumers.emplace_back([&] {
-            std::uint64_t item = 0;
-            while (consumed.load(std::memory_order_relaxed) < kTotal) {
-                if (ring.tryPop(item)) {
-                    hits[item].fetch_add(1, std::memory_order_relaxed);
-                    consumed.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-
-    for (auto &t : producers)
-        t.join();
-    for (auto &t : consumers)
-        t.join();
-
-    EXPECT_EQ(consumed.load(), kTotal);
-    for (std::uint64_t i = 0; i < kTotal; ++i)
-        ASSERT_EQ(hits[i].load(), 1u) << "item " << i;
-}
-
-TEST(StealFabricStress, SkewedWorkloadExecutesEveryCellOnceWithSteals)
-{
-    constexpr unsigned kWorkers = 4;
-    constexpr std::size_t kItems = 512;
-
-    // Steal-heavy skew: the cells seeded into worker 0's queue (index
-    // % 4 == 0) burn ~100x the work of the others, so workers 1-3
-    // drain their own queues early and live off steals.
-    StealFabric fabric(kItems, kWorkers, /*queueCapacity=*/64);
-    std::vector<std::atomic<std::uint32_t>> ran(kItems);
-    for (auto &r : ran)
-        r.store(0, std::memory_order_relaxed);
-
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&fabric, &ran, w] {
-            std::size_t item = 0;
-            while (fabric.next(w, item)) {
-                const std::size_t spins =
-                    (item % 4 == 0) ? 200'000 : 2'000;
-                volatile std::uint64_t sink = 0;
-                for (std::size_t k = 0; k < spins; ++k)
-                    sink += k;
-                ran[item].fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto &t : workers)
-        t.join();
-
-    for (std::size_t i = 0; i < kItems; ++i)
-        ASSERT_EQ(ran[i].load(), 1u) << "cell " << i;
-
-    const FabricStatus status = fabric.status();
-    EXPECT_EQ(status.cellsExecuted, kItems);
-    for (std::size_t depth : status.queueDepth)
-        EXPECT_EQ(depth, 0u);
-    EXPECT_EQ(status.injectionDepth, 0u);
-    // 512 cells over 64-deep queues: 256 spill to injection; with the
-    // heavy cells all on worker 0, the others must have stolen.
-    EXPECT_GT(fabric.cellsStolen(), 0u);
-    EXPECT_GE(fabric.stealAttempts(), fabric.cellsStolen());
-}
+constexpr unsigned kThreads = 4;
 
 /**
- * A skewed stochastic grid: cells whose index is a multiple of 5 draw
+ * A skewed monolithic grid: cells whose index is a multiple of 5 draw
  * 100x the randomness (so they run much longer), concentrating work
  * the way the adaptive-partition cells do in the real grids.
  */
-std::vector<Scenario>
-skewedGrid(std::size_t cells)
+std::vector<runtime::Scenario>
+skewedCellGrid(std::size_t cells)
 {
-    std::vector<Scenario> grid;
+    std::vector<runtime::Scenario> grid;
     for (std::size_t i = 0; i < cells; ++i) {
         grid.push_back({"skew/" + std::to_string(i),
-            [i](ScenarioContext &ctx) {
+            [i](runtime::ScenarioContext &ctx) {
                 const int draws = (i % 5 == 0) ? 100'000 : 1'000;
                 double acc = 0.0;
                 for (int k = 0; k < draws; ++k)
                     acc += ctx.rng.nextDouble();
-                ScenarioResult r;
+                runtime::ScenarioResult r;
                 r.set("acc", acc);
                 return r;
             }});
@@ -154,31 +54,27 @@ skewedGrid(std::size_t cells)
     return grid;
 }
 
-TEST(StealFabricStress, SkewedCampaignMergesByteIdenticalToSerial)
+TEST(CampaignStress, SkewedCellsMergeByteIdenticalToSerial)
 {
-    const std::size_t kCells = 40;
-    const std::uint64_t kSeed = 0xFAB41C;
+    const std::size_t cells = 40;
+    const std::uint64_t seed = 0xFAB41C;
 
-    CampaignConfig serial;
+    runtime::CampaignConfig serial;
     serial.threads = 1;
-    serial.seed = kSeed;
-    const auto ref = Campaign(serial).run(skewedGrid(kCells));
+    serial.seed = seed;
+    const auto ref = runtime::Campaign(serial).run(skewedCellGrid(cells));
 
-    CampaignConfig parallel;
-    parallel.threads = 4;
-    parallel.seed = kSeed;
-    parallel.ringCapacity = 4;      // force result-ring backpressure
-    parallel.stealQueueCapacity = 4; // force injection-queue spill
-    Campaign c(parallel);
-    const auto out = c.run(skewedGrid(kCells));
+    runtime::CampaignConfig parallel;
+    parallel.threads = kThreads;
+    parallel.seed = seed;
+    runtime::Campaign c(parallel);
+    const auto out = c.run(skewedCellGrid(cells));
 
-    EXPECT_EQ(c.stats().threadsUsed, 4u);
+    EXPECT_EQ(c.stats().threadsUsed, kThreads);
     ASSERT_EQ(out.size(), ref.size());
-    EXPECT_EQ(formatReport(out), formatReport(ref));
+    EXPECT_EQ(runtime::formatReport(out), runtime::formatReport(ref));
 
-    // Per-cell counters obey the same contract; the scheduling
-    // counters (cells_stolen/steal_attempts) are bumped outside the
-    // per-cell windows, so they must be 0 in every cell's delta.
+    // Per-cell counters obey the same contract.
     for (std::size_t i = 0; i < out.size(); ++i) {
         ASSERT_EQ(out[i].counters.size(), ref[i].counters.size());
         for (std::size_t k = 0; k < out[i].counters.size(); ++k) {
@@ -186,37 +82,34 @@ TEST(StealFabricStress, SkewedCampaignMergesByteIdenticalToSerial)
             EXPECT_EQ(out[i].counters[k].second,
                       ref[i].counters[k].second);
         }
-        EXPECT_EQ(out[i].counter("cells_stolen"), 0u);
-        EXPECT_EQ(out[i].counter("steal_attempts"), 0u);
     }
 }
 
 /** Subset (shard-slice) runs are bit-identical to the same cells of a
  *  full run, at any thread count. */
-TEST(StealFabricStress, SubsetRunMatchesFullRunCells)
+TEST(CampaignStress, SubsetRunMatchesFullRunCells)
 {
-    const std::size_t kCells = 30;
-    const std::uint64_t kSeed = 77;
+    const std::size_t cells = 30;
 
-    CampaignConfig cfg;
+    runtime::CampaignConfig cfg;
     cfg.threads = 1;
-    cfg.seed = kSeed;
-    const auto full = Campaign(cfg).run(skewedGrid(kCells));
+    cfg.seed = 77;
+    const auto full = runtime::Campaign(cfg).run(skewedCellGrid(cells));
 
     std::vector<std::size_t> slice;
-    for (std::size_t i = 1; i < kCells; i += 3)
+    for (std::size_t i = 1; i < cells; i += 3)
         slice.push_back(i);
 
-    CampaignConfig par = cfg;
-    par.threads = 4;
-    Campaign c(par);
-    const auto out = c.run(skewedGrid(kCells), slice);
+    runtime::CampaignConfig par = cfg;
+    par.threads = kThreads;
+    runtime::Campaign c(par);
+    const auto out = c.run(skewedCellGrid(cells), slice);
 
     ASSERT_EQ(out.size(), slice.size());
     for (std::size_t k = 0; k < slice.size(); ++k) {
         EXPECT_EQ(out[k].index, slice[k]);
-        EXPECT_EQ(formatReport({out[k]}),
-                  formatReport({full[slice[k]]}));
+        EXPECT_EQ(runtime::formatReport({out[k]}),
+                  runtime::formatReport({full[slice[k]]}));
     }
 }
 
