@@ -1,17 +1,20 @@
 /**
  * @file
  * Simulator speed baseline: wall-clock throughput of the hot paths
- * (event pops, frame deliveries, probe rounds) across a representative
- * slice of the evaluation grid -- every ring-defense tier with and
- * without an attacker, on the single-queue and 4-queue NIC.
+ * (event pops, frame deliveries, probe rounds, LLC accesses) across a
+ * representative slice of the evaluation grid -- every ring-defense
+ * tier with and without an attacker, on the single-queue and 4-queue
+ * NIC, plus the server model's closed loop under the DDIO baseline and
+ * the adaptive partition.
  *
  * Unlike the figure benches this measures the *simulator*, not the
- * simulated machine: each cell runs the same reduced testbed for the
- * same simulated horizon, and the row reports how many simulated
- * events/frames/probe rounds per host second that run sustained. The
- * obs::Stat counters provide the numerators (they advance only with
- * simulated work, so the rates are comparable across commits), a
- * steady_clock around each cell the denominator.
+ * simulated machine: each traffic cell runs the same reduced testbed
+ * for the same simulated horizon, each server cell the same request
+ * count on the full 20 MB LLC, and the row reports how many simulated
+ * events/frames/probe rounds/LLC accesses per host second that run
+ * sustained. The obs::Stat counters provide the numerators (they
+ * advance only with simulated work, so the rates are comparable across
+ * commits), a steady_clock around each cell the denominator.
  *
  * Cells run strictly serially on one thread: wall-clock per cell is
  * the quantity under measurement, so cells must not contend for
@@ -39,16 +42,23 @@
 #include "obs/stats.hh"
 #include "sim/bench_report.hh"
 #include "testbed/testbed.hh"
+#include "workload/defense_eval.hh"
+#include "workload/server.hh"
 
 using namespace pktchase;
 
 namespace
 {
 
-/** Simulated horizon of every cell: long enough that per-cell rates
- *  are stable (hundreds of thousands of events), short enough that
- *  the full 12-cell sweep stays in CI budget. */
+/** Simulated horizon of every traffic cell: long enough that
+ *  per-cell rates are stable (hundreds of thousands of events), short
+ *  enough that the full sweep stays in CI budget. */
 constexpr Cycles kHorizon = secondsToCycles(0.04);
+
+/** Closed-loop requests per server cell: about 0.1 s of host time per
+ *  rep, some 300 k LLC accesses through the server model's memory
+ *  path. */
+constexpr std::size_t kServerRequests = 1000;
 
 /** Workload seed shared by every cell (identical offered load). */
 constexpr std::uint64_t kSeed = 0x5eedul;
@@ -69,16 +79,23 @@ benignMix()
     return mix;
 }
 
-/** One speed cell: defense tier x queue count x attacker presence. */
+/**
+ * One speed cell: a traffic cell (defense tier x queue count x
+ * attacker presence) or, when serverCache is set, a server-model cell
+ * under that cache defense.
+ */
 struct SpeedCell
 {
     std::string ring;
-    std::size_t queues;
-    bool attacker;
+    std::size_t queues = 1;
+    bool attacker = false;
+    std::string serverCache; ///< Non-empty: ServerWorkload::closedLoop.
 
     std::string
     name() const
     {
+        if (!serverCache.empty())
+            return "speed/server/" + serverCache;
         return "speed/" + ring + "+" + defense::nicSpecOf(queues) +
                (attacker ? "/attack" : "/benign");
     }
@@ -93,16 +110,61 @@ speedCells()
           "ring.gated:cadence:partial.1000"}) {
         for (std::size_t q : {std::size_t(1), std::size_t(4)}) {
             for (bool attacker : {false, true})
-                cells.push_back({ring, q, attacker});
+                cells.push_back({ring, q, attacker, ""});
         }
     }
+    for (const char *cache : {"cache.ddio", "cache.adaptive"})
+        cells.push_back({"", 1, false, cache});
     return cells;
+}
+
+/** Time @p body and turn the obs::Stat delta it produced into rate
+ *  metrics. */
+template <typename Body>
+sim::BenchReport::Metrics
+measure(Body &&body)
+{
+    const obs::StatSnapshot before = obs::snapshot();
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const double wall_sec = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
+    const obs::StatSnapshot delta = obs::snapshot() - before;
+
+    const auto rate = [wall_sec](std::uint64_t n) {
+        return wall_sec > 0.0 ? static_cast<double>(n) / wall_sec : 0.0;
+    };
+    const std::uint64_t events = delta.get(obs::Stat::SimEvents);
+    const std::uint64_t frames = delta.get(obs::Stat::FramesDelivered);
+    const std::uint64_t rounds = delta.get(obs::Stat::ProbeRounds);
+    const std::uint64_t accesses = delta.get(obs::Stat::LlcAccesses);
+
+    sim::BenchReport::Metrics m;
+    m.emplace_back("wall_ms", wall_sec * 1e3);
+    m.emplace_back("sim_events", static_cast<double>(events));
+    m.emplace_back("sim_events_per_sec", rate(events));
+    m.emplace_back("frames_delivered", static_cast<double>(frames));
+    m.emplace_back("frames_per_sec", rate(frames));
+    m.emplace_back("probe_rounds", static_cast<double>(rounds));
+    m.emplace_back("probe_rounds_per_sec", rate(rounds));
+    m.emplace_back("llc_accesses", static_cast<double>(accesses));
+    m.emplace_back("llc_accesses_per_sec", rate(accesses));
+    return m;
 }
 
 /** Run one cell once and return its rate metrics. */
 sim::BenchReport::Metrics
 runCellOnce(const SpeedCell &cell)
 {
+    if (!cell.serverCache.empty()) {
+        testbed::Testbed tb(workload::makeDefenseConfig(
+            cell.serverCache, cache::Geometry::xeonE52660()));
+        workload::ServerConfig scfg;
+        scfg.seed = kSeed;
+        workload::ServerWorkload server(tb, scfg);
+        return measure([&server] { server.closedLoop(kServerRequests); });
+    }
+
     testbed::TestbedConfig cfg = testbed::TestbedConfig::reduced();
     cfg.ringDefense = cell.ring;
     cfg.nicSpec = defense::nicSpecOf(cell.queues);
@@ -110,10 +172,10 @@ runCellOnce(const SpeedCell &cell)
 
     net::TrafficPump pump(tb.eq(), tb.driver(), benignMix(), 1000);
 
-    const obs::StatSnapshot before = obs::snapshot();
-    const auto t0 = std::chrono::steady_clock::now();
+    if (!cell.attacker)
+        return measure([&tb] { tb.eq().runUntil(kHorizon); });
 
-    if (cell.attacker) {
+    return measure([&tb] {
         // The footprint scan is the probe-heavy attacker phase; it
         // drives the event queue itself, interleaving with the pump.
         std::vector<std::size_t> all;
@@ -125,32 +187,7 @@ runCellOnce(const SpeedCell &cell)
         attack::FootprintScanner scanner(tb.hier(), tb.groups(), all,
                                          fcfg);
         scanner.scan(tb.eq(), kHorizon);
-    } else {
-        tb.eq().runUntil(kHorizon);
-    }
-
-    const double wall_sec = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - t0).count();
-    const obs::StatSnapshot delta = obs::snapshot() - before;
-
-    const auto rate = [wall_sec](std::uint64_t n) {
-        return wall_sec > 0.0 ? static_cast<double>(n) / wall_sec : 0.0;
-    };
-    const std::uint64_t events = delta.get(obs::Stat::SimEvents);
-    const std::uint64_t frames = delta.get(obs::Stat::FramesDelivered);
-    const std::uint64_t rounds = delta.get(obs::Stat::ProbeRounds);
-
-    sim::BenchReport::Metrics m;
-    m.emplace_back("wall_ms", wall_sec * 1e3);
-    m.emplace_back("sim_events", static_cast<double>(events));
-    m.emplace_back("sim_events_per_sec", rate(events));
-    m.emplace_back("frames_delivered", static_cast<double>(frames));
-    m.emplace_back("frames_per_sec", rate(frames));
-    m.emplace_back("probe_rounds", static_cast<double>(rounds));
-    m.emplace_back("probe_rounds_per_sec", rate(rounds));
-    m.emplace_back("llc_accesses",
-                   static_cast<double>(delta.get(obs::Stat::LlcAccesses)));
-    return m;
+    });
 }
 
 double
@@ -240,24 +277,25 @@ main(int argc, char **argv)
     sim::BenchReport report("speed");
     report.scalar("horizon_sim_sec", 0.04);
 
-    std::printf("  %-58s %8s %10s %9s %9s\n", "cell", "wall ms",
-                "Mevent/s", "kframe/s", "kround/s");
-    bench::rule(100);
+    std::printf("  %-58s %8s %10s %9s %9s %8s\n", "cell", "wall ms",
+                "Mevent/s", "kframe/s", "kround/s", "Macc/s");
+    bench::rule(109);
     std::size_t ran = 0;
     for (const SpeedCell &cell : speedCells()) {
         if (!filter.empty()
             && cell.name().find(filter) == std::string::npos)
             continue;
         const sim::BenchReport::Metrics m = runCell(cell, reps);
-        std::printf("  %-58s %8.1f %10.2f %9.1f %9.1f\n",
+        std::printf("  %-58s %8.1f %10.2f %9.1f %9.1f %8.2f\n",
                     cell.name().c_str(), metricOf(m, "wall_ms"),
                     metricOf(m, "sim_events_per_sec") / 1e6,
                     metricOf(m, "frames_per_sec") / 1e3,
-                    metricOf(m, "probe_rounds_per_sec") / 1e3);
+                    metricOf(m, "probe_rounds_per_sec") / 1e3,
+                    metricOf(m, "llc_accesses_per_sec") / 1e6);
         report.cell(cell.name(), m);
         ++ran;
     }
-    bench::rule(100);
+    bench::rule(109);
 
     const double elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();

@@ -1,19 +1,29 @@
 /**
  * @file
- * Regression guard for the defense-policy API migration: the fig16
- * grid under the policy/registry design must reproduce byte-identical
- * metrics to the pre-refactor enum path for the paper's five cells.
+ * Regression guard for the server-model grids (ctest label `golden`).
  *
- * The golden values below were captured from the enum implementation
- * (RingDefense / CacheMode / adaptivePartition) at commit 080c859 by
- * running fig16LatencyGrid(100000.0, 3000) through runtime::sweep()
- * with campaign seed 1 and printing every metric as a hexfloat. Any
- * drift here means the strategy hooks no longer sit at the exact
- * points of the receive/fill paths the enums branched on.
+ * The fig16 goldens pin the defense-policy API migration: the grid
+ * under the policy/registry design must reproduce byte-identical
+ * metrics to the pre-refactor enum path for the paper's five cells.
+ * They were captured from the enum implementation (RingDefense /
+ * CacheMode / adaptivePartition) at commit 080c859 by running
+ * fig16LatencyGrid(100000.0, 3000) through runtime::sweep() with
+ * campaign seed 1 and printing every metric as a hexfloat. Any drift
+ * there means the strategy hooks no longer sit at the exact points of
+ * the receive/fill paths the enums branched on.
+ *
+ * The fig14, fig15 and fig16x goldens pin the rest of the server
+ * model at test size: fig14ThroughputGrid(400) (three LLC geometries,
+ * including the 22-way 11 MB one), a reduced fig15TrafficGrid and
+ * extendedLatencyGrid(100000.0, 3000). They are whole formatReport()
+ * strings captured at commit 3d789f5 through runtime::Campaign at
+ * campaign seed 1, and threads=1 and threads=4 must both reproduce
+ * them byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include "runtime/campaign.hh"
 #include "runtime/registry.hh"
 #include "runtime/sweep.hh"
 #include "workload/defense_eval.hh"
@@ -72,6 +82,115 @@ const GoldenCell kGolden[5] = {
       0x1.2e5c53ae04f21p-2, 0x1.d322p+17, 0x1.e6p+9}},
 };
 
+const char *const kFig14Golden =
+    "[0] fig14/llc20/ring.none+cache.ddio "
+    "kreq_per_sec=0x1.0cd52f46b47b6p+6 "
+    "llc_miss_rate=0x1.3010fda60a2ap-1 mem_read_blocks=0x1.f516p+15 "
+    "mem_write_blocks=0x1.ap+7\n"
+    "[1] fig14/llc20/ring.none+cache.adaptive "
+    "kreq_per_sec=0x1.0cd52f46b47b6p+6 "
+    "llc_miss_rate=0x1.3010fda60a2ap-1 mem_read_blocks=0x1.f516p+15 "
+    "mem_write_blocks=0x1.7p+6\n"
+    "[2] fig14/llc11/ring.none+cache.ddio "
+    "kreq_per_sec=0x1.0c5972bfed9d3p+6 "
+    "llc_miss_rate=0x1.3104ee2cc0a9fp-1 "
+    "mem_read_blocks=0x1.f6a8p+15 mem_write_blocks=0x1.2cp+9\n"
+    "[3] fig14/llc11/ring.none+cache.adaptive "
+    "kreq_per_sec=0x1.0c5972bfed9d3p+6 "
+    "llc_miss_rate=0x1.3104ee2cc0a9fp-1 "
+    "mem_read_blocks=0x1.f6a8p+15 mem_write_blocks=0x1.18p+8\n"
+    "[4] fig14/llc8/ring.none+cache.ddio "
+    "kreq_per_sec=0x1.0c9a07f74a46dp+6 "
+    "llc_miss_rate=0x1.30857fcf746ecp-1 "
+    "mem_read_blocks=0x1.f5d6p+15 mem_write_blocks=0x1.2dp+9\n"
+    "[5] fig14/llc8/ring.none+cache.adaptive "
+    "kreq_per_sec=0x1.0c92a4e1e41e8p+6 "
+    "llc_miss_rate=0x1.30941014a1b75p-1 "
+    "mem_read_blocks=0x1.f5eep+15 mem_write_blocks=0x1.18p+8\n";
+
+const char *const kFig15Golden =
+    "[0] fig15/filecopy/ring.none+cache.no-ddio "
+    "mem_read_blocks=0x1p+17 mem_write_blocks=0x1p+16 "
+    "llc_miss_rate=0x1p+0\n"
+    "[1] fig15/filecopy/ring.none+cache.ddio "
+    "mem_read_blocks=0x1p+16 mem_write_blocks=0x1.0ap+15 "
+    "llc_miss_rate=0x1p-1\n"
+    "[2] fig15/filecopy/ring.none+cache.adaptive "
+    "mem_read_blocks=0x1p+16 mem_write_blocks=0x1.53p+14 "
+    "llc_miss_rate=0x1p-1\n"
+    "[3] fig15/tcprecv/ring.none+cache.no-ddio "
+    "mem_read_blocks=0x1.0ep+12 mem_write_blocks=0x1.f4p+11 "
+    "llc_miss_rate=0x1.147ae147ae148p-2\n"
+    "[4] fig15/tcprecv/ring.none+cache.ddio "
+    "mem_read_blocks=0x1.4p+8 mem_write_blocks=0x1.6e8p+9 "
+    "llc_miss_rate=0x1.47ae147ae147bp-6\n"
+    "[5] fig15/tcprecv/ring.none+cache.adaptive "
+    "mem_read_blocks=0x1.4p+8 mem_write_blocks=0x1.48p+8 "
+    "llc_miss_rate=0x1.47ae147ae147bp-6\n"
+    "[6] fig15/nginx/ring.none+cache.no-ddio "
+    "kreq_per_sec=0x1.08314a885207dp+6 "
+    "llc_miss_rate=0x1.395bb47399251p-1 "
+    "mem_read_blocks=0x1.0233p+16 mem_write_blocks=0x1.9p+10\n"
+    "[7] fig15/nginx/ring.none+cache.ddio "
+    "kreq_per_sec=0x1.0bf7e1c644138p+6 "
+    "llc_miss_rate=0x1.31c5e5c158abcp-1 "
+    "mem_read_blocks=0x1.f7e6p+15 mem_write_blocks=0x1.ap+7\n"
+    "[8] fig15/nginx/ring.none+cache.adaptive "
+    "kreq_per_sec=0x1.0bf7e1c644138p+6 "
+    "llc_miss_rate=0x1.31c5e5c158abcp-1 "
+    "mem_read_blocks=0x1.f7e6p+15 mem_write_blocks=0x1.7p+6\n";
+
+const char *const kFig16xGolden =
+    "[0] fig16x/ring.offset+cache.ddio p50=0x1.563744c916175p+1 "
+    "p90=0x1.89a24a1b37e2p+1 p99=0x1.93f2e26be899ep+1 "
+    "p99_9=0x1.9634042d92ac5p+1 p99_99=0x1.9701caec89108p+1 "
+    "kreq_per_sec=0x1.7a6cefebc223ap+6 "
+    "llc_miss_rate=0x1.2d959d80fbc9ap-2 "
+    "mem_read_blocks=0x1.d1efp+17 mem_write_blocks=0x1.474p+10\n"
+    "[1] fig16x/ring.quarantine:16+cache.ddio "
+    "p50=0x1.6c311f4936d1cp+1 p90=0x1.a239312bde708p+1 "
+    "p99=0x1.aba58566a89e7p+1 p99_9=0x1.ae96e50e8e59p+1 "
+    "p99_99=0x1.afc37b1f1f72cp+1 kreq_per_sec=0x1.76304ce31cc43p+6 "
+    "llc_miss_rate=0x1.2d79c85d7d6c7p-2 "
+    "mem_read_blocks=0x1.d1c4p+17 mem_write_blocks=0x1.488p+11\n"
+    "[2] fig16x/ring.none+cache.ddio-ways:2 "
+    "p50=0x1.562be8bc169c2p+1 p90=0x1.899b79469e981p+1 "
+    "p99=0x1.93ea25759a3b2p+1 p99_9=0x1.962b6c83c2902p+1 "
+    "p99_99=0x1.96f9d478de353p+1 kreq_per_sec=0x1.7a75e6475b42ep+6 "
+    "llc_miss_rate=0x1.2d83d0baa7ff2p-2 "
+    "mem_read_blocks=0x1.d1d38p+17 mem_write_blocks=0x1.0fp+11\n"
+    "[3] fig16x/ring.offset+cache.ddio-ways:2 "
+    "p50=0x1.563744c916175p+1 p90=0x1.89a24a1b37e2p+1 "
+    "p99=0x1.93f2e26be899ep+1 p99_9=0x1.9634042d92ac5p+1 "
+    "p99_99=0x1.9701caec89108p+1 kreq_per_sec=0x1.7a6cefebc223ap+6 "
+    "llc_miss_rate=0x1.2d959d80fbc9ap-2 "
+    "mem_read_blocks=0x1.d1efp+17 mem_write_blocks=0x1.474p+10\n"
+    "[4] fig16x/ring.quarantine:16+cache.adaptive "
+    "p50=0x1.6c64429935d39p+1 p90=0x1.a26493b03807p+1 "
+    "p99=0x1.abb7f71820fd6p+1 p99_9=0x1.aeb28168e935p+1 "
+    "p99_99=0x1.afddb2020a8f2p+1 kreq_per_sec=0x1.75c6001ad29c7p+6 "
+    "llc_miss_rate=0x1.2e51f87723526p-2 "
+    "mem_read_blocks=0x1.d312p+17 mem_write_blocks=0x1.17p+10\n";
+
+/** The formatReport() string of @p grid at campaign seed 1. */
+std::string
+runGrid(const std::vector<runtime::Scenario> &grid, unsigned threads)
+{
+    runtime::CampaignConfig cfg;
+    cfg.threads = threads;
+    cfg.seed = 1;
+    runtime::Campaign campaign(cfg);
+    return runtime::formatReport(campaign.run(grid));
+}
+
+void
+expectGolden(const std::vector<runtime::Scenario> &grid,
+             const char *golden)
+{
+    EXPECT_EQ(runGrid(grid, 1), golden) << "threads=1";
+    EXPECT_EQ(runGrid(grid, 4), golden) << "threads=4";
+}
+
 } // namespace
 
 TEST(DefenseRegression, Fig16GridBitIdenticalToEnumPath)
@@ -91,6 +210,22 @@ TEST(DefenseRegression, Fig16GridBitIdenticalToEnumPath)
                 << kGolden[c].name << " / " << kMetricKeys[m];
         }
     }
+}
+
+TEST(DefenseRegression, Fig14GridMatchesGolden)
+{
+    expectGolden(fig14ThroughputGrid(400), kFig14Golden);
+}
+
+TEST(DefenseRegression, Fig15GridMatchesGolden)
+{
+    expectGolden(fig15TrafficGrid(Addr(4) << 20, 4000, 400),
+                 kFig15Golden);
+}
+
+TEST(DefenseRegression, Fig16xGridMatchesGolden)
+{
+    expectGolden(extendedLatencyGrid(kRate, kRequests), kFig16xGolden);
 }
 
 TEST(DefenseRegression, ExtendedGridRunsNewSpecsByName)
