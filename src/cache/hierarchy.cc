@@ -23,9 +23,13 @@ Hierarchy::timedRead(Addr paddr, Cycles now)
     const bool hit = llc_->cpuRead(paddr, now);
     double lat = hit ? static_cast<double>(cfg_.llcHitLatency)
                      : static_cast<double>(cfg_.dramLatency);
-    lat += rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
-    if (rng_.nextBool(cfg_.outlierProb))
-        lat += static_cast<double>(cfg_.outlierCycles);
+    // With both noise terms zero the draws below add exactly 0.0, and
+    // rng_ has no other consumer, so skipping them changes no result.
+    if (cfg_.timerNoiseSigma != 0.0 || cfg_.outlierProb != 0.0) {
+        lat += rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
+        if (rng_.nextBool(cfg_.outlierProb))
+            lat += static_cast<double>(cfg_.outlierCycles);
+    }
     lat = std::max(lat, 1.0);
     return static_cast<Cycles>(lat);
 }

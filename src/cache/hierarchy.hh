@@ -70,7 +70,8 @@ class Hierarchy
 
     /**
      * Timed CPU read as the attacker measures it.
-     * @return The measured latency in cycles (includes noise).
+     * @return The measured latency in cycles (includes noise; the bare
+     *         hit or DRAM latency when both noise terms are zero).
      */
     Cycles timedRead(Addr paddr, Cycles now);
 

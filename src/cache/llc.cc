@@ -1,6 +1,7 @@
 #include "llc.hh"
 
-#include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "obs/stats.hh"
 #include "sim/logging.hh"
@@ -22,10 +23,16 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
         fatal("Llc: way masks support at most 32 ways");
     if (cfg_.ddioWays == 0 || cfg_.ddioWays > cfg_.geom.ways)
         fatal("Llc: ddioWays out of range");
+    const unsigned sps = cfg_.geom.setsPerSlice;
+    if (sps == 0 || (sps & (sps - 1)) != 0)
+        fatal("Llc: setsPerSlice must be a power of two");
 
+    stride_ = (cfg_.geom.ways + 3) & ~3u;
+    tagShift_ = blockShift + static_cast<unsigned>(__builtin_ctz(sps));
     const std::size_t sets = cfg_.geom.totalSets();
-    tags_.assign(sets * cfg_.geom.ways, 0);
-    meta_.assign(sets * cfg_.geom.ways, 0);
+    tags_.assign(sets * stride_, kInvalidTag);
+    meta_.assign(sets * stride_, 0);
+    ioCount_.assign(sets, 0);
     repl_ = makeReplacement(cfg_.replacement, sets, cfg_.geom.ways,
                             Rng(cfg_.seed));
     policy_->init(*this);
@@ -40,37 +47,35 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     lru_ = dynamic_cast<LruPolicy *>(repl_.get());
 }
 
-int
-Llc::findWay(std::size_t gset, Addr block) const
+void
+Llc::panicTagOverflow(Addr paddr)
 {
-    const std::size_t base = gset * cfg_.geom.ways;
-    const Addr *tags = &tags_[base];
-    const std::uint8_t *meta = &meta_[base];
-    for (unsigned w = 0; w < cfg_.geom.ways; ++w) {
-        if ((meta[w] & kValid) && tags[w] == block)
-            return static_cast<int>(w);
-    }
-    return -1;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%#llx",
+                  static_cast<unsigned long long>(paddr));
+    panic(std::string("Llc: physical address ") + buf +
+          " has a tag that reaches the invalid-line sentinel");
 }
 
 int
 Llc::findInvalid(std::size_t gset) const
 {
-    const std::uint8_t *meta = &meta_[gset * cfg_.geom.ways];
-    for (unsigned w = 0; w < cfg_.geom.ways; ++w)
-        if (!(meta[w] & kValid))
-            return static_cast<int>(w);
-    return -1;
+    // Padding ways hold kInvalidTag, so a hit there means none of the
+    // real ways is free.
+    const int way = findWay(gset, kInvalidTag);
+    return way < static_cast<int>(cfg_.geom.ways) ? way : -1;
 }
 
 WayMask
 Llc::kindMask(std::size_t gset, bool want_io) const
 {
-    const std::uint8_t *meta = &meta_[gset * cfg_.geom.ways];
+    const std::size_t base = gset * stride_;
+    const std::uint32_t *tags = &tags_[base];
+    const std::uint8_t *meta = &meta_[base];
     const std::uint8_t want = want_io ? kIo : 0;
     WayMask mask = 0;
     for (unsigned w = 0; w < cfg_.geom.ways; ++w) {
-        if ((meta[w] & kValid) && (meta[w] & kIo) == want)
+        if (tags[w] != kInvalidTag && (meta[w] & kIo) == want)
             mask |= WayMask(1) << w;
     }
     return mask;
@@ -79,21 +84,10 @@ Llc::kindMask(std::size_t gset, bool want_io) const
 unsigned
 Llc::validCount(std::size_t gset) const
 {
-    const std::uint8_t *meta = &meta_[gset * cfg_.geom.ways];
+    const std::uint32_t *tags = &tags_[gset * stride_];
     unsigned n = 0;
     for (unsigned w = 0; w < cfg_.geom.ways; ++w)
-        if (meta[w] & kValid)
-            ++n;
-    return n;
-}
-
-unsigned
-Llc::ioCount(std::size_t gset) const
-{
-    const std::uint8_t *meta = &meta_[gset * cfg_.geom.ways];
-    unsigned n = 0;
-    for (unsigned w = 0; w < cfg_.geom.ways; ++w)
-        if ((meta[w] & kValid) && (meta[w] & kIo))
+        if (tags[w] != kInvalidTag)
             ++n;
     return n;
 }
@@ -105,11 +99,23 @@ Llc::ioPartitionSize(std::size_t gset) const
 }
 
 void
+Llc::dropLine(std::size_t gset, unsigned way)
+{
+    const std::size_t idx = lineIndex(gset, way);
+    if (meta_[idx] & kIo)
+        --ioCount_[gset];
+    tags_[idx] = kInvalidTag;
+    meta_[idx] = 0;
+    replReset(gset, way);
+}
+
+void
 Llc::evict(std::size_t gset, unsigned way, bool filler_is_io)
 {
-    std::uint8_t &m = meta_[lineIndex(gset, way)];
-    if (!(m & kValid))
+    const std::size_t idx = lineIndex(gset, way);
+    if (tags_[idx] == kInvalidTag)
         panic("Llc::evict of invalid way");
+    const std::uint8_t m = meta_[idx];
     if (m & kDirty)
         ++stats_.writebacks;
     if (m & kIo) {
@@ -123,8 +129,7 @@ Llc::evict(std::size_t gset, unsigned way, bool filler_is_io)
         else
             ++stats_.cpuEvictedByCpu;
     }
-    m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-    replReset(gset, way);
+    dropLine(gset, way);
 }
 
 void
@@ -134,16 +139,14 @@ Llc::partitionDrop(std::size_t gset, bool io_side)
     if (mask == 0)
         panic("Llc::partitionDrop: no line of the requested kind");
     const unsigned w = replVictim(gset, mask);
-    std::uint8_t &m = meta_[lineIndex(gset, w)];
-    if (m & kDirty)
+    if (meta_[lineIndex(gset, w)] & kDirty)
         ++stats_.writebacks;
-    m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-    replReset(gset, w);
+    dropLine(gset, w);
     ++stats_.partitionInvalidations;
 }
 
 unsigned
-Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
+Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
 {
     ++stats_.memReads;
     int way = -1;
@@ -178,25 +181,22 @@ Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
     }
 
     const std::size_t idx = lineIndex(gset, static_cast<unsigned>(way));
-    tags_[idx] = block;
-    meta_[idx] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0));
+    tags_[idx] = tag;
+    meta_[idx] = dirty ? kDirty : 0;
     replTouch(gset, static_cast<unsigned>(way));
     return static_cast<unsigned>(way);
 }
 
 void
-Llc::ioFill(std::size_t gset, Addr block)
+Llc::ioFill(std::size_t gset, std::uint32_t tag)
 {
     ++stats_.ioAllocations;
     obs::bump(obs::Stat::LlcMisses);
-    const unsigned cap = ioCapOf(gset);
-    const WayMask io_mask = kindMask(gset, true);
-    const auto io_count = static_cast<unsigned>(popcount64(io_mask));
 
     int way = -1;
-    if (io_count >= cap) {
+    if (ioCount_[gset] >= ioCapOf(gset)) {
         // DDIO cap (or partition bound) reached: recycle an I/O line.
-        way = static_cast<int>(replVictim(gset, io_mask));
+        way = static_cast<int>(replVictim(gset, kindMask(gset, true)));
         evict(gset, static_cast<unsigned>(way), true);
     } else if (partitioned_) {
         // Defense: the partition guarantees a free slot for I/O.
@@ -218,18 +218,20 @@ Llc::ioFill(std::size_t gset, Addr block)
     }
 
     const std::size_t idx = lineIndex(gset, static_cast<unsigned>(way));
-    tags_[idx] = block;
+    tags_[idx] = tag;
     // DDIO lines are written back only on eviction.
-    meta_[idx] = kValid | kDirty | kIo;
+    meta_[idx] = kDirty | kIo;
+    ++ioCount_[gset];
     replTouch(gset, static_cast<unsigned>(way));
 }
 
 void
-Llc::cpuMissFill(std::size_t gset, Addr block, bool dirty, Cycles now)
+Llc::cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
+                 Cycles now)
 {
     obs::bump(obs::Stat::LlcMisses);
     const std::uint64_t conflicts0 = stats_.ioEvictedByCpu;
-    cpuFill(gset, block, dirty);
+    cpuFill(gset, tag, dirty);
     if (telem_) {
         telem_->cpuAccess(sliceOf(gset), false, now);
         if (stats_.ioEvictedByCpu != conflicts0)
@@ -242,12 +244,12 @@ Llc::cpuRead(Addr paddr, Cycles now)
 {
     ++stats_.cpuReads;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         replTouch(gset, static_cast<unsigned>(way));
         if (telem_)
@@ -255,7 +257,7 @@ Llc::cpuRead(Addr paddr, Cycles now)
         return true;
     }
     ++stats_.cpuReadMisses;
-    cpuMissFill(gset, block, false, now);
+    cpuMissFill(gset, tag, false, now);
     return false;
 }
 
@@ -264,12 +266,12 @@ Llc::cpuWrite(Addr paddr, Cycles now)
 {
     ++stats_.cpuWrites;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         std::uint8_t &m = meta_[lineIndex(gset,
                                           static_cast<unsigned>(way))];
@@ -281,10 +283,9 @@ Llc::cpuWrite(Addr paddr, Cycles now)
             // partition eviction if the quota is full).
             if (m & kDirty)
                 ++stats_.writebacks;
-            m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-            replReset(gset, static_cast<unsigned>(way));
+            dropLine(gset, static_cast<unsigned>(way));
             ++stats_.invalidations;
-            cpuFill(gset, block, true);
+            cpuFill(gset, tag, true);
             --stats_.memReads; // on-chip move, not a demand fill
             if (telem_)
                 telem_->cpuAccess(sliceOf(gset), true, now);
@@ -292,14 +293,16 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         }
         // A CPU write to a DDIO line takes ownership (the driver copied
         // or consumed the packet); it is no longer an I/O line.
-        m = static_cast<std::uint8_t>((m | kDirty) & ~kIo);
+        if (m & kIo)
+            --ioCount_[gset];
+        m = kDirty;
         replTouch(gset, static_cast<unsigned>(way));
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
     }
     ++stats_.cpuWriteMisses;
-    cpuMissFill(gset, block, true, now);
+    cpuMissFill(gset, tag, true, now);
     return false;
 }
 
@@ -308,7 +311,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
 {
     ++stats_.ioWrites;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
@@ -316,7 +319,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
     const std::uint64_t allocs0 = stats_.ioAllocations;
     const std::uint64_t displaced0 = stats_.cpuEvictedByIo;
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         std::uint8_t &m = meta_[lineIndex(gset,
                                           static_cast<unsigned>(way))];
@@ -325,12 +328,13 @@ Llc::ioWrite(Addr paddr, Cycles now)
             // I/O line (that would grow the I/O side past its bound).
             // Invalidate the stale copy and allocate in the partition.
             ++stats_.invalidations;
-            m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-            replReset(gset, static_cast<unsigned>(way));
-            ioFill(gset, block);
+            dropLine(gset, static_cast<unsigned>(way));
+            ioFill(gset, tag);
         } else {
             ++stats_.ioWriteHits;
-            m |= kDirty | kIo;
+            if (!(m & kIo))
+                ++ioCount_[gset];
+            m = kDirty | kIo;
             replTouch(gset, static_cast<unsigned>(way));
         }
         if (telem_ && stats_.ioAllocations != allocs0) {
@@ -340,7 +344,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
         }
         return;
     }
-    ioFill(gset, block);
+    ioFill(gset, tag);
     if (telem_) {
         telem_->ioInjection(sliceOf(gset),
                             stats_.cpuEvictedByIo != displaced0, now);
@@ -350,30 +354,27 @@ Llc::ioWrite(Addr paddr, Cycles now)
 void
 Llc::invalidateBlock(Addr paddr)
 {
-    const Addr block = paddr >> blockShift;
     const std::size_t gset = globalSet(paddr);
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tagOf(paddr));
     if (way < 0)
         return;
     // The DMA engine just overwrote memory; the cached copy is stale,
     // so it is dropped without writeback.
-    meta_[lineIndex(gset, static_cast<unsigned>(way))] &=
-        static_cast<std::uint8_t>(~(kValid | kDirty));
-    replReset(gset, static_cast<unsigned>(way));
+    dropLine(gset, static_cast<unsigned>(way));
     ++stats_.invalidations;
 }
 
 bool
 Llc::contains(Addr paddr) const
 {
-    return findWay(globalSet(paddr), paddr >> blockShift) >= 0;
+    return findWay(globalSet(paddr), tagOf(paddr)) >= 0;
 }
 
 bool
 Llc::containsIoLine(Addr paddr) const
 {
     const std::size_t gset = globalSet(paddr);
-    const int way = findWay(gset, paddr >> blockShift);
+    const int way = findWay(gset, tagOf(paddr));
     return way >= 0 &&
         (meta_[lineIndex(gset, static_cast<unsigned>(way))] & kIo) != 0;
 }
@@ -383,11 +384,9 @@ Llc::flushAll()
 {
     for (std::size_t gset = 0; gset < cfg_.geom.totalSets(); ++gset) {
         for (unsigned w = 0; w < cfg_.geom.ways; ++w) {
-            std::uint8_t &m = meta_[lineIndex(gset, w)];
-            if ((m & kValid) && (m & kDirty))
+            if (meta_[lineIndex(gset, w)] & kDirty)
                 ++stats_.writebacks;
-            m = 0;
-            replReset(gset, w);
+            dropLine(gset, w);
         }
     }
 }

@@ -146,7 +146,7 @@ class Llc
     unsigned validCount(std::size_t gset) const;
 
     /** Number of valid I/O lines in global set @p gset. */
-    unsigned ioCount(std::size_t gset) const;
+    unsigned ioCount(std::size_t gset) const { return ioCount_[gset]; }
 
     /**
      * Current I/O partition size for @p gset: the injection policy's
@@ -200,13 +200,18 @@ class Llc
     void notePartitionAdaptation() { ++stats_.partitionAdaptations; }
 
   private:
-    // Line state is split structure-of-arrays: a flat tag array plus
-    // one byte of flag bits per line, so the tag-match loop of findWay
-    // streams through 8-byte tags and the validity scans touch one
-    // cache line per set instead of striding over 16-byte AoS entries.
-    static constexpr std::uint8_t kValid = 1u << 0;
-    static constexpr std::uint8_t kDirty = 1u << 1;
-    static constexpr std::uint8_t kIo = 1u << 2;
+    // Line state is split structure-of-arrays. tags_ holds each line's
+    // 32-bit Geometry::tag() -- every block of a set shares its set
+    // index, so the tag alone names the block -- and kInvalidTag marks
+    // an invalid line, the only validity flag. meta_ holds one byte of
+    // flag bits per line, zero for an invalid line. Both pad each
+    // set's stride to a multiple of 4 ways so findWay compares tags
+    // four at a time; a 20-way set's tags fit in 80 bytes. ioCount_
+    // counts each set's valid I/O lines and is updated wherever a
+    // line's validity or I/O flag changes.
+    static constexpr std::uint32_t kInvalidTag = ~std::uint32_t(0);
+    static constexpr std::uint8_t kDirty = 1u << 0;
+    static constexpr std::uint8_t kIo = 1u << 1;
 
     LlcConfig cfg_;
     std::unique_ptr<SliceHash> hash_;
@@ -218,16 +223,31 @@ class Llc
     bool ioCapUniform_ = true;
     std::unique_ptr<ReplacementPolicy> repl_;
     LruPolicy *lru_ = nullptr;     ///< repl_ downcast, or null.
-    std::vector<Addr> tags_;       ///< totalSets x ways block addrs.
-    std::vector<std::uint8_t> meta_; ///< totalSets x ways flag bytes.
+    unsigned stride_ = 0;          ///< ways rounded up to a multiple of 4.
+    unsigned tagShift_ = 0;        ///< blockShift + set-index bits.
+    std::vector<std::uint32_t> tags_; ///< totalSets x stride_ tags.
+    std::vector<std::uint8_t> meta_;  ///< totalSets x stride_ flag bytes.
+    std::vector<std::uint8_t> ioCount_; ///< Valid I/O lines per set.
     LlcStats stats_;
     LlcTelemetry *telem_ = nullptr; ///< Counter probe; null = off-path.
 
     std::size_t
     lineIndex(std::size_t gset, unsigned way) const
     {
-        return gset * cfg_.geom.ways + way;
+        return gset * stride_ + way;
     }
+
+    /** Geometry::tag() of @p paddr; panics if it reaches kInvalidTag. */
+    std::uint32_t
+    tagOf(Addr paddr) const
+    {
+        const Addr tag = paddr >> tagShift_;
+        if (tag >= kInvalidTag)
+            panicTagOverflow(paddr);
+        return static_cast<std::uint32_t>(tag);
+    }
+
+    [[noreturn]] static void panicTagOverflow(Addr paddr);
 
     // Devirtualized replacement-policy calls: LruPolicy is final, so
     // these inline completely for the default policy.
@@ -263,11 +283,34 @@ class Llc
         return ioCapUniform_ ? uniformIoCap_ : policy_->ioCap(gset);
     }
 
-    /** Find the way caching @p block in @p gset, or -1. */
-    int findWay(std::size_t gset, Addr block) const;
+    /**
+     * First way of @p gset's padded stride holding @p tag, or -1.
+     * With kInvalidTag this finds the first invalid way, padding
+     * included. Defined here so every access path inlines it.
+     */
+    int
+    findWay(std::size_t gset, std::uint32_t tag) const
+    {
+        // One group of four per step, returning at the first group
+        // with a match: a valid tag occurs at most once per set, and
+        // the scan stays branch-free inside a group.
+        const std::uint32_t *tags = &tags_[gset * stride_];
+        for (unsigned w = 0; w < stride_; w += 4) {
+            const unsigned hits = unsigned(tags[w] == tag) |
+                unsigned(tags[w + 1] == tag) << 1 |
+                unsigned(tags[w + 2] == tag) << 2 |
+                unsigned(tags[w + 3] == tag) << 3;
+            if (hits)
+                return static_cast<int>(w + __builtin_ctz(hits));
+        }
+        return -1;
+    }
 
     /** First invalid way in @p gset, or -1. */
     int findInvalid(std::size_t gset) const;
+
+    /** Invalidate @p way of @p gset: no writeback or eviction stats. */
+    void dropLine(std::size_t gset, unsigned way);
 
     /** Mask of valid ways whose isIo flag equals @p want_io. */
     WayMask kindMask(std::size_t gset, bool want_io) const;
@@ -276,17 +319,17 @@ class Llc
     void evict(std::size_t gset, unsigned way, bool filler_is_io);
 
     /** Handle a CPU-side miss fill; returns the way filled. */
-    unsigned cpuFill(std::size_t gset, Addr block, bool dirty);
+    unsigned cpuFill(std::size_t gset, std::uint32_t tag, bool dirty);
 
     /**
      * The shared cpuRead/cpuWrite miss tail: fill, then report the
      * miss -- and any I/O line the fill displaced -- to telemetry.
      */
-    void cpuMissFill(std::size_t gset, Addr block, bool dirty,
+    void cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
                      Cycles now);
 
     /** Handle a DDIO allocation. */
-    void ioFill(std::size_t gset, Addr block);
+    void ioFill(std::size_t gset, std::uint32_t tag);
 };
 
 } // namespace pktchase::cache

@@ -15,39 +15,37 @@ AddressSpace::mmap(std::size_t pages)
 {
     if (pages == 0)
         panic("AddressSpace::mmap of zero pages");
-    const Addr base_vpn = nextVpn_;
-    for (std::size_t i = 0; i < pages; ++i) {
-        const Addr vpn = nextVpn_++;
-        pageTable_[vpn] = phys_.allocFrame(owner_);
-    }
+    const Addr base_vpn = kBaseVpn + frames_.size();
+    for (std::size_t i = 0; i < pages; ++i)
+        frames_.push_back(phys_.allocFrame(owner_));
+    mappedPages_ += pages;
     return base_vpn * pageBytes;
 }
 
 void
 AddressSpace::munmapPage(Addr vaddr)
 {
-    const Addr vpn = vaddr / pageBytes;
-    auto it = pageTable_.find(vpn);
-    if (it == pageTable_.end())
+    const Addr slot = slotOf(vaddr);
+    if (!live(slot))
         panic("AddressSpace::munmapPage of unmapped page");
-    phys_.freeFrame(it->second);
-    pageTable_.erase(it);
+    phys_.freeFrame(frames_[slot]);
+    frames_[slot] = kUnmapped;
+    --mappedPages_;
 }
 
 Addr
 AddressSpace::translate(Addr vaddr) const
 {
-    const Addr vpn = vaddr / pageBytes;
-    auto it = pageTable_.find(vpn);
-    if (it == pageTable_.end())
+    const Addr slot = slotOf(vaddr);
+    if (!live(slot))
         panic("AddressSpace::translate fault (unmapped page)");
-    return it->second + (vaddr & (pageBytes - 1));
+    return frames_[slot] + (vaddr & (pageBytes - 1));
 }
 
 bool
 AddressSpace::mapped(Addr vaddr) const
 {
-    return pageTable_.count(vaddr / pageBytes) != 0;
+    return live(slotOf(vaddr));
 }
 
 } // namespace pktchase::mem

@@ -13,7 +13,6 @@
 #define PKTCHASE_MEM_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/phys_mem.hh"
@@ -23,7 +22,11 @@ namespace pktchase::mem
 {
 
 /**
- * A sparse virtual-to-physical page mapping for one simulated process.
+ * A virtual-to-physical page mapping for one simulated process.
+ *
+ * mmap hands out consecutive VPNs from a fixed base, so the page table
+ * is a flat vector indexed by VPN minus that base; an unmapped page
+ * keeps its slot as a tombstone.
  */
 class AddressSpace
 {
@@ -56,13 +59,29 @@ class AddressSpace
     bool mapped(Addr vaddr) const;
 
     /** Number of currently mapped pages. */
-    std::size_t pageCount() const { return pageTable_.size(); }
+    std::size_t pageCount() const { return mappedPages_; }
 
   private:
+    /** Arbitrary nonzero mmap base. */
+    static constexpr Addr kBaseVpn = 0x10000;
+    /** Tombstone of an unmapped slot: no frame base is all ones. */
+    static constexpr Addr kUnmapped = ~Addr(0);
+
     PhysMem &phys_;
     Owner owner_;
-    Addr nextVpn_ = 0x10000; ///< Arbitrary nonzero mmap base.
-    std::unordered_map<Addr, Addr> pageTable_; ///< vpn -> frame base.
+    std::vector<Addr> frames_; ///< vpn - kBaseVpn -> frame base.
+    std::size_t mappedPages_ = 0;
+
+    /** frames_ index of @p vaddr's page; a VPN below the base wraps
+     *  to an index past the end. */
+    static Addr slotOf(Addr vaddr) { return vaddr / pageBytes - kBaseVpn; }
+
+    /** Whether frames_ index @p slot holds a mapped page. */
+    bool
+    live(Addr slot) const
+    {
+        return slot < frames_.size() && frames_[slot] != kUnmapped;
+    }
 };
 
 } // namespace pktchase::mem

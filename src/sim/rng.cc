@@ -132,16 +132,23 @@ Rng::nextZipf(std::uint64_t n, double s)
     // sum would be O(n) per draw, so we use the standard approximation:
     // draw u and invert the continuous Zipf CDF, then clamp.
     const double u = 1.0 - nextDouble(); // (0, 1]
+    const double oneMinusS = 1.0 - s;
+    if (n != zipfN_ || s != zipfS_) {
+        // The normalizer depends only on (n, s); a workload draws from
+        // one distribution, so the last pair is the whole cache.
+        zipfHn_ = s == 1.0
+            ? std::log(static_cast<double>(n) + 1.0)
+            : (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
+                oneMinusS;
+        zipfN_ = n;
+        zipfS_ = s;
+    }
+    const double hn = zipfHn_;
     if (s == 1.0) {
-        const double hn = std::log(static_cast<double>(n) + 1.0);
         const double x = std::exp(u * hn) - 1.0;
         const auto k = static_cast<std::uint64_t>(x);
         return std::min(k, n - 1);
     }
-    const double oneMinusS = 1.0 - s;
-    const double hn =
-        (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-        oneMinusS;
     const double x =
         std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
     const auto k = static_cast<std::uint64_t>(x);

@@ -76,6 +76,11 @@ class Rng
     std::uint64_t state_[4];
     bool hasCachedGaussian_ = false;
     double cachedGaussian_ = 0.0;
+
+    // nextZipf's normalizer for the last (n, s); n == 0 never matches.
+    std::uint64_t zipfN_ = 0;
+    double zipfS_ = 0.0;
+    double zipfHn_ = 0.0;
 };
 
 } // namespace pktchase

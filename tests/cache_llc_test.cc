@@ -246,6 +246,35 @@ TEST(Llc, StatsConservation)
     }
 }
 
+TEST(Llc, LargestTagRoundTrips)
+{
+    // makeSmall: 6 offset + 6 set-index bits, so the tag starts at bit
+    // 12 and 0xfffffffe is the largest tag below the invalid sentinel.
+    Llc llc = makeSmall();
+    const Addr top = (Addr(0xfffffffe) << 12) + addrOf(9, 0);
+    EXPECT_FALSE(llc.cpuRead(top, 0));
+    EXPECT_TRUE(llc.contains(top));
+    EXPECT_FALSE(llc.contains(top - (Addr(1) << 12)));
+    EXPECT_TRUE(llc.cpuRead(top, 1));
+}
+
+TEST(LlcDeath, TagReachingSentinelPanics)
+{
+    Llc llc = makeSmall();
+    EXPECT_DEATH(llc.cpuRead(Addr(0xffffffff) << 12, 0),
+                 "^panic: Llc: physical address 0x[0-9a-f]+ has a tag "
+                 "that reaches the invalid-line sentinel\n$");
+    EXPECT_DEATH(llc.ioWrite(Addr(1) << 50, 0), "sentinel");
+}
+
+TEST(LlcDeath, NonPowerOfTwoSetsFatal)
+{
+    LlcConfig cfg;
+    cfg.geom = Geometry{1, 48, 4};
+    EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0)),
+                ::testing::ExitedWithCode(1), "power of two");
+}
+
 TEST(LlcDeath, MismatchedHashFatal)
 {
     LlcConfig cfg;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/llc.hh"
 
 using namespace pktchase;
@@ -41,6 +43,36 @@ Addr
 addrOf(unsigned set, unsigned i)
 {
     return (Addr(i) * 64 + set) * blockBytes;
+}
+
+/** NoDdio, Ddio, DdioWays(3) or the adaptive partition, by @p kind. */
+std::unique_ptr<InjectionPolicy>
+makePolicy(int kind)
+{
+    switch (kind) {
+      case 0:
+        return std::make_unique<NoDdioPolicy>();
+      case 1:
+        return std::make_unique<DdioPolicy>();
+      case 2:
+        return std::make_unique<DdioWaysPolicy>(3);
+    }
+    return std::make_unique<AdaptivePartitionPolicy>();
+}
+
+/** Every per-set count matches a recount over the blocks that can map
+ *  to set @p set: the blocks addrOf(set, 0..9) the traffic draws from. */
+void
+expectCountsMatchRecount(const Llc &llc, unsigned set)
+{
+    unsigned valid = 0, io = 0;
+    for (unsigned i = 0; i < 10; ++i) {
+        valid += llc.contains(addrOf(set, i));
+        io += llc.containsIoLine(addrOf(set, i));
+    }
+    const std::size_t g = llc.globalSet(addrOf(set, 0));
+    ASSERT_EQ(llc.validCount(g), valid) << "set " << set;
+    ASSERT_EQ(llc.ioCount(g), io) << "set " << set;
 }
 
 } // namespace
@@ -156,36 +188,67 @@ TEST(Partition, DmaHitOnCpuLineReallocatesIntoPartition)
 
 TEST(Partition, PropertyIoNeverEvictsCpuUnderRandomTraffic)
 {
-    // The paper's guarantee, as a randomized invariant sweep.
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        Llc llc = makePartitioned(8);
-        Rng rng(seed);
-        Cycles t = 0;
-        for (int op = 0; op < 50000; ++op) {
-            const Addr a =
-                addrOf(static_cast<unsigned>(rng.nextBounded(64)),
-                       static_cast<unsigned>(rng.nextBounded(10)));
-            t += rng.nextBounded(2000);
-            switch (rng.nextBounded(3)) {
-              case 0:
-                llc.cpuRead(a, t);
-                break;
-              case 1:
-                llc.cpuWrite(a, t);
-                break;
-              default:
-                llc.ioWrite(a, t);
-                break;
+    // The paper's guarantee, as a randomized invariant sweep, plus the
+    // per-set valid and I/O counts under every injection policy. Six
+    // ways is not a multiple of four, so the tag stride is padded.
+    for (unsigned ways : {8u, 6u}) {
+        for (int kind = 0; kind < 4; ++kind) {
+            for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+                Llc llc(partitionConfig(ways),
+                        std::make_unique<IdentitySliceHash>(1, 0),
+                        makePolicy(kind));
+                const std::string where = llc.injectionPolicy().name() +
+                    " ways " + std::to_string(ways) + " seed " +
+                    std::to_string(seed);
+                Rng rng(seed);
+                Cycles t = 0;
+                for (int op = 0; op < 20000; ++op) {
+                    const auto set =
+                        static_cast<unsigned>(rng.nextBounded(64));
+                    const Addr a = addrOf(
+                        set, static_cast<unsigned>(rng.nextBounded(10)));
+                    t += rng.nextBounded(2000);
+                    if (rng.nextBounded(2000) == 0) {
+                        llc.flushAll();
+                        for (unsigned s = 0; s < 64; ++s)
+                            expectCountsMatchRecount(llc, s);
+                        continue;
+                    }
+                    switch (rng.nextBounded(4)) {
+                      case 0:
+                        llc.cpuRead(a, t);
+                        break;
+                      case 1:
+                        llc.cpuWrite(a, t);
+                        break;
+                      case 2:
+                        llc.ioWrite(a, t);
+                        break;
+                      default:
+                        llc.invalidateBlock(a);
+                        break;
+                    }
+                    // An access or invalidation changes only its own set.
+                    expectCountsMatchRecount(llc, set);
+                    if (HasFatalFailure())
+                        FAIL() << where << " op " << op;
+                }
+                for (unsigned s = 0; s < 64; ++s)
+                    expectCountsMatchRecount(llc, s);
+                if (!llc.injectionPolicy().partitioned())
+                    continue;
+                EXPECT_EQ(llc.stats().cpuEvictedByIo, 0u)
+                    << "defense leaked: " << where;
+                EXPECT_EQ(llc.stats().ioEvictedByCpu, 0u) << where;
+                // Partition bounds hold in every set.
+                for (std::size_t g = 0; g < 64; ++g) {
+                    EXPECT_LE(llc.ioCount(g), llc.ioPartitionSize(g))
+                        << where;
+                    EXPECT_LE(llc.validCount(g) - llc.ioCount(g),
+                              ways - llc.ioPartitionSize(g))
+                        << where;
+                }
             }
-        }
-        EXPECT_EQ(llc.stats().cpuEvictedByIo, 0u)
-            << "defense leaked with seed " << seed;
-        EXPECT_EQ(llc.stats().ioEvictedByCpu, 0u);
-        // Partition bounds hold in every set.
-        for (std::size_t g = 0; g < 64; ++g) {
-            EXPECT_LE(llc.ioCount(g), llc.ioPartitionSize(g));
-            EXPECT_LE(llc.validCount(g) - llc.ioCount(g),
-                      8u - llc.ioPartitionSize(g));
         }
     }
 }

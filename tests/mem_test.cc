@@ -152,9 +152,47 @@ TEST(AddressSpace, MunmapFreesFrame)
     EXPECT_FALSE(as.mapped(base));
 }
 
+TEST(AddressSpace, MappedRejectsPagesOutsideTheMappedRange)
+{
+    PhysMem pm(Addr(1) << 20, Rng(16));
+    AddressSpace as(pm, Owner::Victim);
+    const Addr base = as.mmap(4);
+    EXPECT_EQ(base / pageBytes, Addr(0x10000)); // the mmap base VPN
+    EXPECT_TRUE(as.mapped(base));
+    EXPECT_TRUE(as.mapped(base + 4 * pageBytes - 1));
+    EXPECT_FALSE(as.mapped(base - 1));             // VPN 0xffff
+    EXPECT_FALSE(as.mapped(0));
+    EXPECT_FALSE(as.mapped(base + 4 * pageBytes)); // past the last page
+    as.munmapPage(base + pageBytes);
+    EXPECT_FALSE(as.mapped(base + pageBytes));
+    EXPECT_TRUE(as.mapped(base + 2 * pageBytes));
+    EXPECT_EQ(as.pageCount(), 3u);
+}
+
 TEST(AddressSpaceDeath, TranslateFaultPanics)
 {
     PhysMem pm(Addr(1) << 20, Rng(15));
     AddressSpace as(pm, Owner::Attacker);
     EXPECT_DEATH(as.translate(0xDEAD000), "fault");
+}
+
+TEST(AddressSpaceDeath, TranslateOutsideTheMappedRangePanics)
+{
+    PhysMem pm(Addr(1) << 20, Rng(17));
+    AddressSpace as(pm, Owner::Attacker);
+    const Addr base = as.mmap(4);
+    EXPECT_DEATH(as.translate(base - 1), "fault");
+    EXPECT_DEATH(as.translate(base + 4 * pageBytes), "fault");
+    as.munmapPage(base);
+    EXPECT_DEATH(as.translate(base), "fault");
+}
+
+TEST(AddressSpaceDeath, DoubleMunmapPanics)
+{
+    PhysMem pm(Addr(1) << 20, Rng(18));
+    AddressSpace as(pm, Owner::Attacker);
+    const Addr base = as.mmap(2);
+    as.munmapPage(base);
+    EXPECT_DEATH(as.munmapPage(base), "unmapped");
+    EXPECT_DEATH(as.munmapPage(base - pageBytes), "unmapped");
 }

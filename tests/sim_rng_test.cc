@@ -148,6 +148,45 @@ TEST(Rng, ZipfInRangeAndSkewed)
     EXPECT_GT(counts[0], counts[100]);
 }
 
+namespace
+{
+
+/** nextZipf's closed form, recomputing the normalizer on every draw. */
+std::uint64_t
+zipfClosedForm(Rng &rng, std::uint64_t n, double s)
+{
+    const double u = 1.0 - rng.nextDouble();
+    if (s == 1.0) {
+        const double hn = std::log(static_cast<double>(n) + 1.0);
+        const double x = std::exp(u * hn) - 1.0;
+        return std::min(static_cast<std::uint64_t>(x), n - 1);
+    }
+    const double oneMinusS = 1.0 - s;
+    const double hn =
+        (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
+        oneMinusS;
+    const double x =
+        std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
+    return std::min(static_cast<std::uint64_t>(x), n - 1);
+}
+
+} // namespace
+
+TEST(Rng, ZipfMatchesClosedFormAcrossParameterChanges)
+{
+    // Runs of one (n, s) and switches between them, so the memoized
+    // normalizer is both reused and replaced.
+    const struct { std::uint64_t n; double s; } dists[] = {
+        {4800, 0.6}, {1000, 0.9}, {1000, 1.0}};
+    const int pattern[] = {0, 0, 1, 0, 1, 1, 1, 2, 0, 2};
+    Rng rng(41), ref(41);
+    for (int i = 0; i < 30000; ++i) {
+        const auto &d = dists[pattern[i % 10]];
+        ASSERT_EQ(rng.nextZipf(d.n, d.s), zipfClosedForm(ref, d.n, d.s))
+            << "draw " << i << " n=" << d.n << " s=" << d.s;
+    }
+}
+
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(31);
