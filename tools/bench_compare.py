@@ -15,8 +15,9 @@ the exit is nonzero if any pair regressed or a current artifact is
 missing.
 
 Compares every throughput metric (by default: any key ending in
-``_per_sec``, which covers sim_events_per_sec, frames_per_sec and
-probe_rounds_per_sec) at the report top level and inside each cell,
+``_per_sec``, which covers sim_events_per_sec, frames_per_sec,
+probe_rounds_per_sec and llc_accesses_per_sec) at the report top
+level and inside each cell,
 cells matched by name. Exits 1 if any matched metric in CURRENT is
 more than ``threshold`` below its BASELINE value, if a baseline
 cell disappeared, or if a baseline metric is negative (a corrupt
