@@ -28,7 +28,7 @@
  *
  * Profiling: --profile=out.json opens an in-process
  * obs::ProfileSession and writes the per-phase / per-cell profile
- * report (see runtime/fabric/profile_report.hh); profile reports
+ * report (see runtime/report.hh); profile reports
  * shard and --merge exactly like campaign reports. --progress=rich
  * adds the hottest phase's self-time share to the live progress line.
  * --trace-buffer=N caps the per-thread trace buffer (with --trace);
@@ -51,9 +51,8 @@
 
 #include "obs/profile.hh"
 #include "obs/trace.hh"
-#include "runtime/fabric/profile_report.hh"
-#include "runtime/fabric/shard.hh"
 #include "runtime/registry.hh"
+#include "runtime/report.hh"
 #include "runtime/sweep.hh"
 #include "workload/attack_eval.hh"
 #include "workload/defense_eval.hh"

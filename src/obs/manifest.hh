@@ -6,7 +6,7 @@
  * Every sim::BenchReport the repo writes embeds a RunManifest (a
  * nested "manifest" JSON object), so a BENCH_*.json or profile report
  * found in CI artifacts -- or diffed weeks later by
- * tools/profile_diff.py -- answers "built from which sha, by which
+ * tools/bench_compare.py -- answers "built from which sha, by which
  * compiler, with which flags" by itself. The campaign-side metas
  * (campaign_seed, grid, shard slice) stay where they are; the
  * manifest covers the *build and host*, the metas cover the *run*.

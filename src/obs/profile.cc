@@ -8,13 +8,6 @@
 namespace pktchase::obs
 {
 
-namespace detail
-{
-
-thread_local ProfileBlock *tlsProfile = nullptr;
-
-} // namespace detail
-
 namespace
 {
 
@@ -104,7 +97,7 @@ mergeProfileInto(ProfileDelta &into, const ProfileDelta &from)
 ProfileDelta
 drainProfile()
 {
-    detail::ProfileBlock *p = detail::tlsProfile;
+    detail::ProfileBlock *p = detail::tlsProfile();
     if (!p)
         return {};
     ProfileDelta out(registeredPhaseCount());
@@ -118,7 +111,7 @@ drainProfile()
 std::uint64_t
 profileDepthOverflows()
 {
-    detail::ProfileBlock *p = detail::tlsProfile;
+    detail::ProfileBlock *p = detail::tlsProfile();
     return p ? p->depthOverflows : 0;
 }
 
@@ -147,7 +140,7 @@ ProfileSession::active()
 void
 ProfileSession::attachCurrentThread()
 {
-    if (detail::tlsProfile)
+    if (detail::tlsProfile())
         fatal("ProfileSession: this thread is already attached");
     auto block = std::make_unique<detail::ProfileBlock>();
     block->tickNs = tickNs_;
@@ -156,13 +149,13 @@ ProfileSession::attachCurrentThread()
         std::lock_guard<std::mutex> lock(blocksMutex);
         blocks.push_back(std::move(block));
     }
-    detail::tlsProfile = raw;
+    detail::tlsProfile() = raw;
 }
 
 void
 ProfileSession::detachCurrentThread()
 {
-    detail::tlsProfile = nullptr;
+    detail::tlsProfile() = nullptr;
 }
 
 std::string

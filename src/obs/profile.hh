@@ -218,7 +218,14 @@ struct ProfileBlock
     }
 };
 
-extern thread_local ProfileBlock *tlsProfile;
+/** The calling thread's block, or nullptr while detached; a
+ *  function-local thread_local for the same reason as tlsTrace(). */
+inline ProfileBlock *&
+tlsProfile()
+{
+    static thread_local ProfileBlock *block = nullptr;
+    return block;
+}
 
 /** Span-open half of the hot path: push a frame for @p phaseId. */
 inline void
@@ -258,7 +265,7 @@ profileClose(ProfileBlock *p)
 inline bool
 profiling()
 {
-    return detail::tlsProfile != nullptr;
+    return detail::tlsProfile() != nullptr;
 }
 
 /**

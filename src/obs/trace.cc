@@ -7,13 +7,6 @@
 namespace pktchase::obs
 {
 
-namespace detail
-{
-
-thread_local TraceBuffer *tlsTrace = nullptr;
-
-} // namespace detail
-
 namespace
 {
 
@@ -73,7 +66,7 @@ TraceSession::active()
 void
 TraceSession::attachCurrentThread(std::uint32_t tid, std::string name)
 {
-    if (detail::tlsTrace)
+    if (detail::tlsTrace())
         fatal("TraceSession: this thread is already attached");
     auto buf = std::make_unique<detail::TraceBuffer>();
     buf->tid = tid;
@@ -86,13 +79,13 @@ TraceSession::attachCurrentThread(std::uint32_t tid, std::string name)
         std::lock_guard<std::mutex> lock(mutex_);
         buffers_.push_back(std::move(buf));
     }
-    detail::tlsTrace = raw;
+    detail::tlsTrace() = raw;
 }
 
 void
 TraceSession::detachCurrentThread()
 {
-    detail::tlsTrace = nullptr;
+    detail::tlsTrace() = nullptr;
 }
 
 std::uint64_t

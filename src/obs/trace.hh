@@ -87,7 +87,19 @@ struct TraceBuffer
     }
 };
 
-extern thread_local TraceBuffer *tlsTrace;
+/**
+ * The calling thread's buffer, or nullptr while detached. A
+ * function-local thread_local, like tlsStats(): constant-initialized,
+ * so each access is a plain TLS load with no cross-TU init wrapper
+ * (an extern thread_local's wrapper is what UBSan flags as a null
+ * load).
+ */
+inline TraceBuffer *&
+tlsTrace()
+{
+    static thread_local TraceBuffer *buffer = nullptr;
+    return buffer;
+}
 
 } // namespace detail
 
@@ -95,7 +107,7 @@ extern thread_local TraceBuffer *tlsTrace;
 inline bool
 tracing()
 {
-    return detail::tlsTrace != nullptr;
+    return detail::tlsTrace() != nullptr;
 }
 
 /**
@@ -196,7 +208,7 @@ class ScopedSpan
     /** @p name and @p cat must have static storage duration. */
     explicit ScopedSpan(const char *name, const char *cat = "sim")
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             name_ = name;
             cat_ = cat;
@@ -208,7 +220,7 @@ class ScopedSpan
      *  only when a session is attached. */
     ScopedSpan(const std::string &name, const char *cat)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             dynName_ = name;
             cat_ = cat;
@@ -224,13 +236,13 @@ class ScopedSpan
      */
     explicit ScopedSpan(const ProfilePhase &phase)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             name_ = phase.name();
             cat_ = phase.cat();
             startMicros_ = b->nowMicros();
         }
-        if (detail::ProfileBlock *p = detail::tlsProfile) {
+        if (detail::ProfileBlock *p = detail::tlsProfile()) {
             prof_ = p;
             detail::profileOpen(p, phase.id());
         }
@@ -241,13 +253,13 @@ class ScopedSpan
      *  the phase (per-cell split comes from the campaign drain). */
     ScopedSpan(const std::string &name, const ProfilePhase &phase)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             dynName_ = name;
             cat_ = phase.cat();
             startMicros_ = b->nowMicros();
         }
-        if (detail::ProfileBlock *p = detail::tlsProfile) {
+        if (detail::ProfileBlock *p = detail::tlsProfile()) {
             prof_ = p;
             detail::profileOpen(p, phase.id());
         }
@@ -284,7 +296,7 @@ class ScopedSpan
 inline void
 instant(const char *name, const char *cat = "sim")
 {
-    if (detail::TraceBuffer *b = detail::tlsTrace) {
+    if (detail::TraceBuffer *b = detail::tlsTrace()) {
         detail::TraceEvent e;
         e.name = name;
         e.cat = cat;

@@ -20,7 +20,7 @@
  * report.
  *
  * A campaign can also run a *subset* of a grid (the multi-process
- * shard layer's slice, see runtime/fabric/shard.hh): cells keep their
+ * shard layer's slice, see runtime/report.hh): cells keep their
  * full-grid indices, so a sharded cell is bit-identical to the same
  * cell in an unsharded run.
  */

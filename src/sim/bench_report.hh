@@ -17,7 +17,7 @@
  * hold them), and the row-tagged cell() overload stamps each cell
  * with its full-grid index and scenario seed so a merge tool can
  * validate and reassemble shards bit-identically (see
- * runtime/fabric/shard.hh).
+ * runtime/report.hh).
  *
  * Lives in sim so every layer above (bench front-ends, workload
  * harnesses) can use it; cells are plain (name, metrics) pairs --

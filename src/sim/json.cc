@@ -71,14 +71,50 @@ class Parser
     {
         expect('"');
         std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
+        while (!failed_ && pos_ < text_.size() && text_[pos_] != '"') {
             char c = text_[pos_++];
             if (c == '\\' && pos_ < text_.size())
                 c = text_[pos_++];
-            out.push_back(c);
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("control character in string");
+            else
+                out.push_back(c);
         }
         expect('"');
         return out;
+    }
+
+    /** Length of the JSON number at pos_ (0 if none):
+     *  -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
+    std::size_t
+    numberLength() const
+    {
+        std::size_t p = pos_;
+        auto digits = [&] {
+            const std::size_t from = p;
+            while (p < text_.size() && text_[p] >= '0' && text_[p] <= '9')
+                ++p;
+            return p > from;
+        };
+        if (p < text_.size() && text_[p] == '-')
+            ++p;
+        if (p < text_.size() && text_[p] == '0')
+            ++p;
+        else if (!digits())
+            return 0;
+        if (p < text_.size() && text_[p] == '.') {
+            ++p;
+            if (!digits())
+                return 0;
+        }
+        if (p < text_.size() && (text_[p] == 'e' || text_[p] == 'E')) {
+            ++p;
+            if (p < text_.size() && (text_[p] == '+' || text_[p] == '-'))
+                ++p;
+            if (!digits())
+                return 0;
+        }
+        return p - pos_;
     }
 
     JsonValue
@@ -88,6 +124,12 @@ class Parser
         JsonValue v;
         if (failed_)
             return v;
+        if ((c == '{' || c == '[') && depth_ == kMaxDepth) {
+            fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                 " levels");
+            return v;
+        }
+        const Nest nest(depth_);
         if (c == '{') {
             ++pos_;
             v.kind = JsonValue::Object;
@@ -127,17 +169,33 @@ class Parser
             v.str = string();
         } else {
             v.kind = JsonValue::Number;
-            char *end = nullptr;
-            v.num = std::strtod(text_.c_str() + pos_, &end);
-            if (end == text_.c_str() + pos_)
+            const std::size_t len = numberLength();
+            if (len == 0) {
                 fail("expected a number");
-            pos_ = static_cast<std::size_t>(end - text_.c_str());
+                return v;
+            }
+            v.num = std::strtod(text_.substr(pos_, len).c_str(), nullptr);
+            pos_ += len;
         }
         return v;
     }
 
+    /** Deepest object/array nesting accepted; the report writers nest
+     *  3 levels below the root, and the recursion must not exhaust
+     *  the stack on hostile input. */
+    static constexpr unsigned kMaxDepth = 64;
+
+    /** Counts one nesting level for the lifetime of a value() call. */
+    struct Nest
+    {
+        explicit Nest(unsigned &d) : depth(d) { ++depth; }
+        ~Nest() { --depth; }
+        unsigned &depth;
+    };
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
     bool failed_ = false;
     std::string err_;
 };

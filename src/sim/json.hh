@@ -3,15 +3,17 @@
  * A deliberately minimal JSON reader: just enough of the grammar to
  * consume the artifacts this codebase writes itself (sim::BenchReport
  * files and the campaign shard reports) -- objects, arrays, strings
- * with the backslash escapes the writers emit, and numbers via strtod.
+ * with the backslash escapes the writers emit, and numbers in the JSON
+ * number grammar (no nan, inf or hex spellings).
  *
  * This is a *round-trip* parser for our own output, not a general
  * JSON library: no unicode escapes, no booleans/null keywords beyond
- * what the writers produce. The shard-merge tool is the main
- * consumer; tests/bench_report_test.cc uses it to validate BenchReport
- * emission. Errors are reported as a position-stamped message, never
- * by aborting, so callers (the merge CLI) can reject a malformed
- * shard file with a clear diagnostic instead of dying.
+ * what the writers produce. The shard merge is the main consumer, and
+ * its input comes from other processes, so the parser must survive
+ * anything: errors are reported as a one-line, position-stamped
+ * message, never by aborting, raw control characters in strings are
+ * rejected, and nesting is capped so hostile input cannot exhaust the
+ * stack.
  */
 
 #ifndef PKTCHASE_SIM_JSON_HH

@@ -205,11 +205,57 @@ TEST(JsonParser, RejectsMalformedInput)
     EXPECT_FALSE(sim::parseJson("{\"a\": }", v, err));
     EXPECT_FALSE(sim::parseJson("{\"a\": 1} trailing", v, err));
     EXPECT_FALSE(sim::parseJson("[1, 2", v, err));
+    // JSON strings cannot hold control characters, raw or escaped.
+    EXPECT_FALSE(sim::parseJson("[\"a\nb\"]", v, err));
+    EXPECT_FALSE(sim::parseJson("[\"a\\\nb\"]", v, err));
     EXPECT_FALSE(err.empty());
     std::string noent_err;
     EXPECT_FALSE(sim::parseJsonFile(
         testing::TempDir() + "/json_no_such_file.json", v, noent_err));
     EXPECT_FALSE(noent_err.empty());
+}
+
+TEST(JsonParser, CapsNestingDepth)
+{
+    JsonValue v;
+    std::string err;
+    // The writers nest 3 levels below the root; 64 still parse.
+    EXPECT_TRUE(sim::parseJson(std::string(64, '[') + std::string(64, ']'),
+                               v, err))
+        << err;
+    std::string objects;
+    for (int i = 0; i < 65; ++i)
+        objects += "{\"a\": ";
+    EXPECT_FALSE(sim::parseJson(objects + "1" + std::string(65, '}'), v,
+                                err));
+    EXPECT_NE(err.find("nesting deeper than 64 levels"), std::string::npos)
+        << err;
+    // Deep enough to overflow the stack of an uncapped recursive parser.
+    EXPECT_FALSE(sim::parseJson(std::string(2000000, '['), v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+}
+
+TEST(JsonParser, AcceptsOnlyJsonNumbers)
+{
+    JsonValue v;
+    std::string err;
+    // strtod takes most of these; the JSON number grammar takes none.
+    for (const char *bad : {"nan", "NAN", "inf", "-inf", "Infinity", "0x10",
+                            "+1", "-", ".5", "1.", "1e", "1e+", "01",
+                            "-x"}) {
+        EXPECT_FALSE(sim::parseJson(std::string("[") + bad + "]", v, err))
+            << bad;
+    }
+    for (const char *good : {"0", "-0", "7", "1.5", "-2.25e-3", "1E+2",
+                             "12345678901234567890",
+                             "4.9406564584124654e-324"}) {
+        ASSERT_TRUE(sim::parseJson(std::string("[") + good + "]", v, err))
+            << good << ": " << err;
+        ASSERT_EQ(v.arr.size(), 1u);
+        EXPECT_EQ(v.arr[0].kind, JsonValue::Number) << good;
+        EXPECT_EQ(v.arr[0].num, std::strtod(good, nullptr)) << good;
+    }
 }
 
 TEST(BenchUtil, PercentileRowEmptySampleYieldsZeros)

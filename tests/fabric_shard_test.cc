@@ -5,8 +5,9 @@
  * The headline property is the ISSUE contract -- figD1 run as
  * --shard=i/4 slices and merged is byte-identical to the unsharded
  * report -- plus the rejection paths (overlapping shards, incomplete
- * sets, tampered seeds) that keep a bad merge from silently
- * corrupting a campaign.
+ * sets, tampered seeds, malformed rows) that keep a bad merge from
+ * silently corrupting a campaign, and a seeded mutation loop that
+ * holds the merge to one-line rejections.
  */
 
 #include <gtest/gtest.h>
@@ -14,14 +15,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "runtime/campaign.hh"
-#include "runtime/fabric/shard.hh"
+#include "runtime/report.hh"
 #include "runtime/scenario.hh"
 #include "sim/json.hh"
+#include "sim/rng.hh"
 #include "workload/detect_eval.hh"
 
 using namespace pktchase;
@@ -335,6 +338,171 @@ TEST(ShardMerge, RejectsMissingFileAndEmptyInput)
     const std::string err = mergeShardReports(
         {testing::TempDir() + "/does_not_exist.json"}, out);
     EXPECT_FALSE(err.empty());
+}
+
+/**
+ * Merge one unsharded tinyGrid(5) report after @p edit rewrites its
+ * text (@p tag keeps the files apart). The merge must be rejected
+ * with one line that names the file, and must write nothing; returns
+ * the message.
+ */
+std::string
+rejectEdited(const std::string &tag,
+             const std::function<void(std::string &)> &edit)
+{
+    const std::string path = testing::TempDir() + "/" + tag + ".json";
+    const std::string out = testing::TempDir() + "/" + tag + "_out.json";
+    writeShard(path, 5, 7, ShardSpec{0, 1});
+    std::string text = slurp(path);
+    edit(text);
+    spit(path, text);
+    std::remove(out.c_str());
+
+    const std::string err = mergeShardReports({path}, out);
+    EXPECT_FALSE(err.empty());
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+    EXPECT_FALSE(std::ifstream(out).good()) << "rejected merge wrote "
+                                            << out;
+    std::remove(path.c_str());
+    return err;
+}
+
+/** Replace the first @p from in @p text with @p to. */
+void
+replaceFirst(std::string &text, const std::string &from,
+             const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+}
+
+TEST(ShardMerge, RejectsGarbageHexValue)
+{
+    const std::string err = rejectEdited("bad_hex", [](std::string &t) {
+        const std::string key = "\"hex\": {\"x\": \"";
+        const std::size_t hex = t.find(key);
+        ASSERT_NE(hex, std::string::npos);
+        const std::size_t from = hex + key.size();
+        t.replace(from, t.find('"', from) - from, "garbage");
+    });
+    EXPECT_NE(err.find("\"garbage\" is not a finite number"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ShardMerge, RejectsFractionalIndex)
+{
+    const std::string err = rejectEdited("frac_index", [](std::string &t) {
+        replaceFirst(t, "\"index\": 1,", "\"index\": 1.5,");
+    });
+    EXPECT_NE(err.find("cell index 1.5 is not a non-negative integer"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ShardMerge, RejectsNegativeIndex)
+{
+    const std::string err = rejectEdited("neg_index", [](std::string &t) {
+        replaceFirst(t, "\"index\": 1,", "\"index\": -1,");
+    });
+    EXPECT_NE(err.find("cell index -1 is not a non-negative integer"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ShardMerge, RejectsNonIntegerManifestThreads)
+{
+    const std::string err = rejectEdited("bad_threads", [](std::string &t) {
+        replaceFirst(t, "\"manifest\": {", "\"manifest\": {\"threads\": -2, ");
+    });
+    EXPECT_NE(err.find("\"threads\" is not a non-negative integer"),
+              std::string::npos)
+        << err;
+}
+
+/** A grid size far past the rows the shard set holds must be refused
+ *  before anything is sized by it (it used to abort in bad_alloc). */
+TEST(ShardMerge, RejectsGridSizeBeyondTheRows)
+{
+    const std::string err = rejectEdited("huge_grid", [](std::string &t) {
+        replaceFirst(t, "\"grid_size\": \"5\"",
+                     "\"grid_size\": \"99999999999999\"");
+    });
+    EXPECT_NE(err.find("missing cell 5"), std::string::npos) << err;
+}
+
+/**
+ * The seeded mutation loop over the JSON parser and the merge: byte
+ * mutants of a 2-shard report set must either merge or be rejected
+ * with a one-line error that writes nothing -- never crash or hang.
+ * A mutant that merges yields a canonical report, which must merge
+ * again to the same bytes.
+ */
+TEST(ShardMerge, MutatedShardSetsMergeOrFailOnOneLine)
+{
+    const std::string dir = testing::TempDir();
+    const std::string paths[2] = {dir + "/fuzz_a.json",
+                                  dir + "/fuzz_b.json"};
+    writeShard(paths[0], 5, 7, ShardSpec{0, 2});
+    writeShard(paths[1], 5, 7, ShardSpec{1, 2});
+    const std::string texts[2] = {slurp(paths[0]), slurp(paths[1])};
+    const std::string out = dir + "/fuzz_out.json";
+    const std::string again = dir + "/fuzz_again.json";
+
+    // Bytes the grammar cares about, so mutants reach past the lexer.
+    static const char kBytes[] = "0123456789-+.eEx\"{}[],: \\n";
+    Rng rng(2024);
+    std::size_t merged = 0;
+    std::size_t rejected = 0;
+    for (int n = 0; n < 3000; ++n) {
+        const std::size_t victim = n % 2;
+        std::string text = texts[victim];
+        const std::uint64_t edits = 1 + rng.nextBounded(3);
+        for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+            const std::size_t pos = rng.nextBounded(text.size());
+            const char byte = kBytes[rng.nextBounded(sizeof(kBytes) - 1)];
+            switch (rng.nextBounded(4)) {
+              case 0:
+                text[pos] = byte;
+                break;
+              case 1:
+                text[pos] = static_cast<char>(rng.nextBounded(256));
+                break;
+              case 2:
+                text.erase(pos, 1 + rng.nextBounded(8));
+                break;
+              default:
+                text.insert(pos, 1, byte);
+                break;
+            }
+        }
+        spit(paths[victim], text);
+        spit(paths[1 - victim], texts[1 - victim]);
+        std::remove(out.c_str());
+
+        const std::string err =
+            mergeShardReports({paths[0], paths[1]}, out);
+        if (err.empty()) {
+            ++merged;
+            ASSERT_TRUE(mergeShardReports({out}, again).empty())
+                << "mutant " << n;
+            EXPECT_EQ(slurp(again), slurp(out)) << "mutant " << n;
+        } else {
+            ++rejected;
+            EXPECT_EQ(err.find('\n'), std::string::npos)
+                << "mutant " << n << ": " << err;
+            EXPECT_FALSE(std::ifstream(out).good())
+                << "mutant " << n << ": " << err;
+        }
+    }
+    // Mutants of the decimal map or the manifest strings still merge;
+    // structural ones are rejected. Both paths must have run.
+    EXPECT_GT(merged, 0u);
+    EXPECT_GT(rejected, 0u);
+    for (const std::string &p : {paths[0], paths[1], out, again})
+        std::remove(p.c_str());
 }
 
 TEST(ShardCampaign, SubsetMisuseIsFatal)

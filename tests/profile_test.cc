@@ -25,8 +25,7 @@
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "runtime/campaign.hh"
-#include "runtime/fabric/profile_report.hh"
-#include "runtime/fabric/shard.hh"
+#include "runtime/report.hh"
 #include "runtime/scenario.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
@@ -215,10 +214,11 @@ runProfiled(std::size_t cells, unsigned threads, std::uint64_t seed)
 
 /**
  * The determinism drill, extended to profiles: on the tick clock the
- * per-cell profile deltas are identical on 1 and 4 worker threads.
- * Compared in serialized (name-keyed) form -- phase *ids* are
- * first-use registration order, which thread interleaving may
- * permute, so the raw vectors are not comparable across runs.
+ * per-cell profile rows are identical on 1 and 4 worker threads.
+ * Compared as written reports, whose rows are keyed and ordered by
+ * phase name -- phase *ids* are first-use registration order, which
+ * thread interleaving may permute, so the raw vectors are not
+ * comparable across runs.
  */
 TEST(ProfileCampaign, PerCellProfilesMatchAcrossThreadCounts)
 {
@@ -228,33 +228,32 @@ TEST(ProfileCampaign, PerCellProfilesMatchAcrossThreadCounts)
     const auto par = runProfiled(13, 4, 77);
     ASSERT_EQ(ref.size(), par.size());
 
-    const auto refCells = profileCellsFromResults(77, ref);
-    const auto parCells = profileCellsFromResults(77, par);
-    ASSERT_EQ(refCells.size(), 13u);
-    ASSERT_EQ(parCells.size(), 13u);
-    for (std::size_t i = 0; i < refCells.size(); ++i) {
-        EXPECT_EQ(refCells[i].name, parCells[i].name);
-        EXPECT_EQ(refCells[i].seed, parCells[i].seed);
-        ASSERT_EQ(refCells[i].metrics.size(), parCells[i].metrics.size())
-            << refCells[i].name;
-        for (std::size_t m = 0; m < refCells[i].metrics.size(); ++m) {
-            EXPECT_EQ(refCells[i].metrics[m].first,
-                      parCells[i].metrics[m].first) << refCells[i].name;
-            EXPECT_EQ(refCells[i].metrics[m].second,
-                      parCells[i].metrics[m].second)
-                << refCells[i].name << " "
-                << refCells[i].metrics[m].first;
-        }
-    }
+    // One threads argument for both: the manifest records it, so only
+    // the rows (and the table derived from them) could differ.
+    const std::string refPath = testing::TempDir() + "/prof_t1.json";
+    const std::string parPath = testing::TempDir() + "/prof_t4.json";
+    ASSERT_TRUE(profileReport("prof", 77, 13, ShardSpec{0, 1}, 1,
+                              session.clockTag(), ref)
+                    .write(refPath));
+    ASSERT_TRUE(profileReport("prof", 77, 13, ShardSpec{0, 1}, 1,
+                              session.clockTag(), par)
+                    .write(parPath));
+    EXPECT_EQ(slurp(refPath), slurp(parPath));
+
     // The cells ran profiled spans: the serialized rows must carry
     // the test phases and the campaign's own cell phase.
-    bool sawOuter = false, sawCell = false;
-    for (const auto &kv : refCells[0].metrics) {
-        sawOuter |= kv.first == "test.outer.count";
-        sawCell |= kv.first == "cell.count";
-    }
-    EXPECT_TRUE(sawOuter);
-    EXPECT_TRUE(sawCell);
+    sim::JsonValue root;
+    std::string err;
+    ASSERT_TRUE(sim::parseJsonFile(refPath, root, err)) << err;
+    const sim::JsonValue *cells = root.find("cells");
+    ASSERT_NE(cells, nullptr);
+    ASSERT_EQ(cells->arr.size(), 13u);
+    const sim::JsonValue *metrics = cells->arr[0].find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_NE(metrics->find("test.outer.count"), nullptr);
+    EXPECT_NE(metrics->find("cell.count"), nullptr);
+    std::remove(refPath.c_str());
+    std::remove(parPath.c_str());
 }
 
 /** Profiling must not perturb results: the formatted report of a
@@ -423,6 +422,37 @@ TEST(ProfileShardMerge, RejectsClockAndSeedMismatches)
     spit(b, reseeded);
     err = mergeShardReports({a, b}, out);
     EXPECT_FALSE(err.empty());
+
+    for (const std::string &p : {a, b})
+        std::remove(p.c_str());
+}
+
+/** A drop count past what a double holds exactly would re-emit as
+ *  "inf", which is not JSON: the merge refuses it. */
+TEST(ProfileShardMerge, RejectsNonIntegerTraceDrops)
+{
+    obs::ProfileSession session(3);
+    const std::string dir = testing::TempDir();
+    const std::string a = dir + "/drop_a.json";
+    const std::string b = dir + "/drop_b.json";
+    writeProfileShard(a, 7, 5, ShardSpec{0, 2});
+    writeProfileShard(b, 7, 5, ShardSpec{1, 2});
+
+    std::string text = slurp(b);
+    const std::string key = "\"trace.dropped_events\": 0";
+    const std::size_t pos = text.find(key);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, key.size(), "\"trace.dropped_events\": 1e999");
+    spit(b, text);
+
+    const std::string out = dir + "/drop_out.json";
+    std::remove(out.c_str());
+    const std::string err = mergeShardReports({a, b}, out);
+    EXPECT_NE(err.find(b + ": \"trace.dropped_events\" is not a "
+                           "non-negative integer"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::ifstream(out).good());
 
     for (const std::string &p : {a, b})
         std::remove(p.c_str());

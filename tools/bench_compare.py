@@ -1,37 +1,52 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_*.json artifacts and fail on throughput regressions.
+"""Diff BENCH_*.json artifacts against baselines and fail on regressions.
 
 Usage:
-    bench_compare.py BASELINE.json CURRENT.json [--threshold=0.15]
-                     [--keys=SUFFIX[,SUFFIX...]]
-    bench_compare.py BASELINE.json... --current-dir=DIR [options]
+    bench_compare.py BASELINE.json CURRENT.json
+    bench_compare.py BASELINE.json... --current-dir=DIR
 
 With ``--current-dir`` (the CI form), any number of baselines --
-typically a shell glob over bench/baselines/BENCH_*.json -- are each
-compared against the file of the same basename in DIR. Every pair is
-checked even after one fails, so a single CI run reports ALL failing
-keys across ALL artifacts instead of stopping at the first bad file;
-the exit is nonzero if any pair regressed or a current artifact is
-missing.
+typically bench/baselines/BENCH_{speed,fingerprint,profile}.json --
+are each compared against the file of the same basename in DIR. Every
+pair is checked even after one fails, so a single CI run reports ALL
+failing keys across ALL artifacts instead of stopping at the first bad
+file; the exit is nonzero if any pair regressed or a current artifact
+is missing.
 
-Compares every throughput metric (by default: any key ending in
-``_per_sec``, which covers sim_events_per_sec, frames_per_sec,
-probe_rounds_per_sec and llc_accesses_per_sec) at the report top
-level and inside each cell,
-cells matched by name. Exits 1 if any matched metric in CURRENT is
-more than ``threshold`` below its BASELINE value, if a baseline
-cell disappeared, or if a baseline metric is negative (a corrupt
-snapshot must not silently pass). A zero baseline is legitimate
-(benign cells run no probe rounds) but cannot express a ratio, so it
-is compared for sign only: zero -> zero is ok, zero -> positive is
-reported as ``appeared``. Metric keys present in CURRENT but absent
-from the baseline are reported as ``unpinned`` so a new hot-path
-metric does not ride along unguarded. Improvements and new cells are
-reported but never fail the run.
+Metrics are compared at the report top level and inside each cell,
+cells matched by name. The key suffix picks the rule:
 
-CI runs this against the snapshots in bench/baselines/, which were
-recorded on a deliberately slow reference box -- a regression there
-means the simulator hot path, not the machine, got slower.
+  _per_sec        Simulator throughput (sim_events_per_sec,
+                  frames_per_sec, probe_rounds_per_sec,
+                  llc_accesses_per_sec). Fails on a drop of more than
+                  15%.
+  .throughput_hz  A profile phase's spans per second of inclusive
+                  time. Wall-clock rates are noisy across machines,
+                  so only a collapse fails: a drop of more than 70%.
+  .self_share     A profile phase's share of total self time. Fails on
+                  a move of more than 15 percentage points either way:
+                  the profile's *shape* changed, which either is the
+                  point of the change (refresh the baseline) or is an
+                  accidental hot-path shift. A share present in only
+                  one report fails too: a vanished phase means lost
+                  instrumentation, a new one is not pinned by the
+                  baseline.
+
+A baseline cell or rate key missing from CURRENT fails, and so does a
+negative rate baseline (a corrupt snapshot). A zero rate baseline is
+legitimate (benign cells run no probe rounds) but cannot express a
+ratio, so it is compared for sign only: zero -> zero is ok, zero ->
+positive is reported as ``appeared``. Rate keys present only in
+CURRENT are reported as ``unpinned``.
+Improvements and new cells are reported but never fail the run.
+Artifacts of different benches, and missing or mangled files, die
+with a one-line error.
+
+The committed baselines were recorded on a deliberately slow
+reference box -- a regression there means the simulator hot path, not
+the machine, got slower. When a change moves a number on purpose,
+regenerate the snapshot (see "refreshing the baselines" in
+bench/README.md).
 """
 
 import argparse
@@ -39,9 +54,21 @@ import json
 import os
 import sys
 
+# (key suffix, kind, limit). A "drop" rule fails when CURRENT falls
+# more than limit (a fraction) below the baseline; a "move" rule fails
+# when CURRENT moves more than limit percentage points either way.
+RULES = (
+    ("_per_sec", "drop", 0.15),
+    (".throughput_hz", "drop", 0.70),
+    (".self_share", "move", 15.0),
+)
 
-def throughput_keys(metrics, suffixes):
-    return [k for k in metrics if any(k.endswith(s) for s in suffixes)]
+
+def rule_for(key):
+    for suffix, kind, limit in RULES:
+        if key.endswith(suffix):
+            return kind, limit
+    return None
 
 
 def load(path):
@@ -93,49 +120,74 @@ def numeric(context, key, value, path):
     return float(value)
 
 
-def compare(context, base, cur, suffixes, threshold, failures, lines,
-            paths):
-    for key in throughput_keys(base, suffixes):
+def compare_share(context, key, old, new, limit, failures, lines):
+    delta = 100.0 * (new - old)
+    mark = "ok"
+    if abs(delta) > limit:
+        mark = "SHIFTED"
+        failures.append(
+            f"{context}: {key} {old:.1%} -> {new:.1%} "
+            f"({delta:+.1f} pp, limit ±{limit:.0f} pp)")
+    lines.append(f"  {mark:9s} {context}: {key} "
+                 f"{old:.1%} -> {new:.1%} ({delta:+.1f} pp)")
+
+
+def compare_rate(context, key, old, new, limit, failures, lines):
+    if old < 0.0:
+        failures.append(
+            f"{context}: {key} baseline {old:.6g} is negative "
+            f"(corrupt snapshot?)")
+        return
+    if old == 0.0:
+        # No ratio to take. Zero -> zero is consistent; a metric
+        # springing to life means the baseline no longer pins it.
+        if new == 0.0:
+            lines.append(f"  zero      {context}: {key} 0 -> 0")
+        else:
+            lines.append(
+                f"  appeared  {context}: {key} 0 -> {new:.6g} "
+                f"(baseline pins no rate; refresh to guard it)")
+        return
+    delta = (new - old) / old
+    mark = "ok"
+    if delta < -limit:
+        mark = "REGRESSED"
+        failures.append(
+            f"{context}: {key} {old:.6g} -> {new:.6g} "
+            f"({delta:+.1%}, limit -{limit:.0%})")
+    lines.append(
+        f"  {mark:9s} {context}: {key} "
+        f"{old:.6g} -> {new:.6g} ({delta:+.1%})")
+
+
+def compare(context, base, cur, failures, lines, paths):
+    for key in base:
+        rule = rule_for(key)
+        if rule is None:
+            continue
         if key not in cur:
             failures.append(f"{context}: {key} missing from current")
             continue
+        kind, limit = rule
         old = numeric(context, key, base[key], paths[0])
         new = numeric(context, key, cur[key], paths[1])
-        if old < 0.0:
-            failures.append(
-                f"{context}: {key} baseline {old:.6g} is negative "
-                f"(corrupt snapshot?)")
+        check = compare_share if kind == "move" else compare_rate
+        check(context, key, old, new, limit, failures, lines)
+    for key in cur:
+        rule = rule_for(key)
+        if rule is None or key in base:
             continue
-        if old == 0.0:
-            # No ratio to take. Zero -> zero is consistent; a metric
-            # springing to life means the baseline no longer pins it.
-            if new == 0.0:
-                lines.append(f"  zero      {context}: {key} 0 -> 0")
-            else:
-                lines.append(
-                    f"  appeared  {context}: {key} 0 -> {new:.6g} "
-                    f"(baseline pins no rate; refresh to guard it)")
-            continue
-        delta = (new - old) / old
-        mark = "ok"
-        if delta < -threshold:
-            mark = "REGRESSED"
+        value = numeric(context, key, cur[key], paths[1])
+        if rule[0] == "move":
             failures.append(
-                f"{context}: {key} {old:.6g} -> {new:.6g} "
-                f"({delta:+.1%}, limit -{threshold:.0%})")
-        lines.append(
-            f"  {mark:9s} {context}: {key} "
-            f"{old:.6g} -> {new:.6g} ({delta:+.1%})")
-    for key in throughput_keys(cur, suffixes):
-        if key not in base:
-            lines.append(
-                f"  unpinned  {context}: {key} "
-                f"{numeric(context, key, cur[key], paths[1]):.6g} "
-                f"(not in baseline)")
+                f"{context}: {key} not in baseline (new phase; "
+                f"refresh the baseline to pin it)")
+        else:
+            lines.append(f"  unpinned  {context}: {key} {value:.6g} "
+                         f"(not in baseline)")
 
 
-def compare_pair(baseline_path, current_path, suffixes, threshold,
-                 failures, prefix=""):
+def compare_pair(baseline_path, current_path, failures, prefix=""):
     """Compare one baseline/current artifact pair; append every
     failing key to @p failures (prefixed with @p prefix so multi-pair
     runs stay attributable)."""
@@ -150,7 +202,7 @@ def compare_pair(baseline_path, current_path, suffixes, threshold,
     lines = []
     paths = (baseline_path, current_path)
     compare("<scalars>", scalar_metrics(base), scalar_metrics(cur),
-            suffixes, threshold, failures, lines, paths)
+            failures, lines, paths)
 
     base_cells = cell_metrics(base, baseline_path)
     cur_cells = cell_metrics(cur, current_path)
@@ -158,16 +210,14 @@ def compare_pair(baseline_path, current_path, suffixes, threshold,
         if name not in cur_cells:
             failures.append(f"cell {name!r} missing from current")
             continue
-        compare(name, metrics, cur_cells[name], suffixes,
-                threshold, failures, lines, paths)
+        compare(name, metrics, cur_cells[name], failures, lines, paths)
     for name in cur_cells:
         if name not in base_cells:
             lines.append(f"  new       {name} (not in baseline)")
 
     failures[start:] = [prefix + f for f in failures[start:]]
     print(f"bench_compare: {baseline_path} -> {current_path} "
-          f"(bench {base.get('bench')!r}, "
-          f"threshold -{threshold:.0%})")
+          f"(bench {base.get('bench')!r})")
     for line in lines:
         print(line)
 
@@ -181,25 +231,11 @@ def main():
     parser.add_argument(
         "--current-dir", default=None, metavar="DIR",
         help="compare every BASELINE against DIR/<its basename>; "
-             "allows a glob of baselines and reports all failing "
-             "keys across all pairs before exiting")
-    parser.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="allowed fractional drop before failing (default 0.15)")
-    parser.add_argument(
-        "--keys", default="_per_sec",
-        help="comma-separated metric-key suffixes to compare "
-             "(default: _per_sec)")
+             "reports all failing keys across all pairs before exiting")
     args = parser.parse_args()
-    if not 0.0 < args.threshold < 1.0:
-        parser.error("--threshold must be in (0, 1)")
-    suffixes = [s for s in args.keys.split(",") if s]
-    if not suffixes:
-        parser.error("--keys must name at least one suffix")
 
-    # Pair up baselines and currents. Two-path mode keeps the classic
-    # CLI; --current-dir treats every positional as a baseline (so a
-    # shell glob works) and pairs each with DIR/<its basename>.
+    # Two-path mode keeps the classic CLI; --current-dir treats every
+    # positional as a baseline and pairs it with DIR/<its basename>.
     if args.current_dir is not None:
         pairs = [(b, os.path.join(args.current_dir, os.path.basename(b)))
                  for b in args.paths]
@@ -214,24 +250,22 @@ def main():
         if n:
             print()
         if not os.path.exists(current_path):
-            # In glob mode a missing current artifact means the bench
-            # never ran (or crashed before writing); count it and keep
-            # checking the remaining pairs.
+            # A missing current artifact means the bench never ran (or
+            # crashed before writing); count it and keep checking.
             print(f"bench_compare: {baseline_path} -> {current_path}")
             failures.append(f"{current_path} missing (bench did not "
                             f"write its artifact)")
             continue
         prefix = (f"{os.path.basename(baseline_path)}: "
                   if args.current_dir is not None else "")
-        compare_pair(baseline_path, current_path, suffixes,
-                     args.threshold, failures, prefix)
+        compare_pair(baseline_path, current_path, failures, prefix)
 
     if failures:
         print(f"\n{len(failures)} regression(s):", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("no throughput regressions")
+    print("no regressions")
     return 0
 
 
