@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -246,9 +247,19 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--reps=", 0) == 0) {
-            const int n = std::atoi(arg.c_str() + 7);
-            if (n < 1)
-                fatal("bench_speed: --reps must be >= 1");
+            // All digits and in [1, UINT_MAX], the check campaign's
+            // --threads makes: a bare atoi would read "2abc" as 2 and
+            // wrap "4294967297" to 1.
+            const std::string digits = arg.substr(7);
+            const bool numeric = !digits.empty() && digits.size() <= 19 &&
+                digits.find_first_not_of("0123456789") ==
+                    std::string::npos;
+            const unsigned long long n =
+                numeric ? std::stoull(digits) : 0;
+            if (n < 1 || n > UINT_MAX) {
+                fatal("bench_speed: --reps must be an integer in [1, " +
+                      std::to_string(UINT_MAX) + "]");
+            }
             reps = static_cast<unsigned>(n);
         } else if (arg == "--profile") {
             profileMode = true;

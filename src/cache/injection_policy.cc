@@ -20,11 +20,15 @@ DdioPolicy::init(Llc &llc)
     cap_ = llc.config().ddioWays;
 }
 
-DdioWaysPolicy::DdioWaysPolicy(unsigned ways)
-    : ways_(ways)
+DdioWaysPolicy::DdioWaysPolicy(std::uint64_t ways)
+    : ways_(static_cast<unsigned>(ways))
 {
-    if (ways_ == 0)
+    if (ways == 0)
         fatal("DdioWaysPolicy: ddio-ways must be nonzero");
+    if (ways_ != ways) {
+        fatal("DdioWaysPolicy: ddio-ways " + std::to_string(ways) +
+              " does not fit an unsigned way count");
+    }
 }
 
 std::string

@@ -118,7 +118,8 @@ class DdioPolicy : public InjectionPolicy
 class DdioWaysPolicy : public InjectionPolicy
 {
   public:
-    explicit DdioWaysPolicy(unsigned ways);
+    /** Fatal when @p ways is zero or does not fit an unsigned. */
+    explicit DdioWaysPolicy(std::uint64_t ways);
 
     std::string name() const override;
     bool injectsToLlc() const override { return true; }

@@ -13,7 +13,8 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
          std::unique_ptr<InjectionPolicy> policy)
     : cfg_(cfg), hash_(std::move(hash)),
       policy_(policy ? std::move(policy)
-                     : std::make_unique<DdioPolicy>())
+                     : std::make_unique<DdioPolicy>()),
+      lru_(cfg.geom.totalSets(), cfg.geom.ways)
 {
     if (!hash_)
         fatal("Llc requires a slice hash");
@@ -33,8 +34,6 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     tags_.assign(sets * stride_, kInvalidTag);
     meta_.assign(sets * stride_, 0);
     ioCount_.assign(sets, 0);
-    repl_ = makeReplacement(cfg_.replacement, sets, cfg_.geom.ways,
-                            Rng(cfg_.seed));
     policy_->init(*this);
     partitioned_ = policy_->partitioned();
     wantsOnAccess_ = policy_->wantsOnAccess();
@@ -42,9 +41,8 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     if (ioCapUniform_)
         uniformIoCap_ = policy_->ioCap(0);
 
-    // Concrete-type fast paths for the default configuration.
+    // Concrete-type fast path for the default slice hash.
     xorHash_ = dynamic_cast<const XorFoldSliceHash *>(hash_.get());
-    lru_ = dynamic_cast<LruPolicy *>(repl_.get());
 }
 
 void
@@ -106,7 +104,7 @@ Llc::dropLine(std::size_t gset, unsigned way)
         --ioCount_[gset];
     tags_[idx] = kInvalidTag;
     meta_[idx] = 0;
-    replReset(gset, way);
+    lru_.reset(gset, way);
 }
 
 void
@@ -138,7 +136,7 @@ Llc::partitionDrop(std::size_t gset, bool io_side)
     const WayMask mask = kindMask(gset, io_side);
     if (mask == 0)
         panic("Llc::partitionDrop: no line of the requested kind");
-    const unsigned w = replVictim(gset, mask);
+    const unsigned w = lru_.victim(gset, mask);
     if (meta_[lineIndex(gset, w)] & kDirty)
         ++stats_.writebacks;
     dropLine(gset, w);
@@ -159,7 +157,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
             static_cast<unsigned>(popcount64(cpu_mask));
         if (cpu_count >= cpu_quota) {
             // Partition full: displace another CPU line, never I/O.
-            way = static_cast<int>(replVictim(gset, cpu_mask));
+            way = static_cast<int>(lru_.victim(gset, cpu_mask));
             evict(gset, static_cast<unsigned>(way), false);
         } else {
             way = findInvalid(gset);
@@ -175,7 +173,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
             const WayMask all =
                 (cfg_.geom.ways >= 32) ? ~WayMask(0)
                 : ((WayMask(1) << cfg_.geom.ways) - 1);
-            way = static_cast<int>(replVictim(gset, all));
+            way = static_cast<int>(lru_.victim(gset, all));
             evict(gset, static_cast<unsigned>(way), false);
         }
     }
@@ -183,7 +181,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
     const std::size_t idx = lineIndex(gset, static_cast<unsigned>(way));
     tags_[idx] = tag;
     meta_[idx] = dirty ? kDirty : 0;
-    replTouch(gset, static_cast<unsigned>(way));
+    lru_.touch(gset, static_cast<unsigned>(way));
     return static_cast<unsigned>(way);
 }
 
@@ -196,7 +194,7 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
     int way = -1;
     if (ioCount_[gset] >= ioCapOf(gset)) {
         // DDIO cap (or partition bound) reached: recycle an I/O line.
-        way = static_cast<int>(replVictim(gset, kindMask(gset, true)));
+        way = static_cast<int>(lru_.victim(gset, kindMask(gset, true)));
         evict(gset, static_cast<unsigned>(way), true);
     } else if (partitioned_) {
         // Defense: the partition guarantees a free slot for I/O.
@@ -212,7 +210,7 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
             const WayMask all =
                 (cfg_.geom.ways >= 32) ? ~WayMask(0)
                 : ((WayMask(1) << cfg_.geom.ways) - 1);
-            way = static_cast<int>(replVictim(gset, all));
+            way = static_cast<int>(lru_.victim(gset, all));
             evict(gset, static_cast<unsigned>(way), true);
         }
     }
@@ -222,7 +220,7 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
     // DDIO lines are written back only on eviction.
     meta_[idx] = kDirty | kIo;
     ++ioCount_[gset];
-    replTouch(gset, static_cast<unsigned>(way));
+    lru_.touch(gset, static_cast<unsigned>(way));
 }
 
 void
@@ -251,7 +249,7 @@ Llc::cpuRead(Addr paddr, Cycles now)
 
     const int way = findWay(gset, tag);
     if (way >= 0) {
-        replTouch(gset, static_cast<unsigned>(way));
+        lru_.touch(gset, static_cast<unsigned>(way));
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
@@ -296,7 +294,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         if (m & kIo)
             --ioCount_[gset];
         m = kDirty;
-        replTouch(gset, static_cast<unsigned>(way));
+        lru_.touch(gset, static_cast<unsigned>(way));
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
@@ -335,7 +333,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
             if (!(m & kIo))
                 ++ioCount_[gset];
             m = kDirty | kIo;
-            replTouch(gset, static_cast<unsigned>(way));
+            lru_.touch(gset, static_cast<unsigned>(way));
         }
         if (telem_ && stats_.ioAllocations != allocs0) {
             telem_->ioInjection(sliceOf(gset),

@@ -30,7 +30,6 @@
 #include "cache/replacement.hh"
 #include "cache/slice_hash.hh"
 #include "cache/telemetry.hh"
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace pktchase::cache
@@ -40,7 +39,6 @@ namespace pktchase::cache
 struct LlcConfig
 {
     Geometry geom = Geometry::xeonE52660();
-    ReplacementKind replacement = ReplacementKind::Lru;
 
     /** Max ways DDIO may allocate per set (Intel's ~10% guidance). */
     unsigned ddioWays = 2;
@@ -53,8 +51,6 @@ struct LlcConfig
     Cycles adaptPeriod = 10000;  ///< p in the paper.
     Cycles tHigh = 5000;         ///< Grow threshold (cycles of presence).
     Cycles tLow = 2000;          ///< Shrink threshold.
-
-    std::uint64_t seed = 1;      ///< Seed for the random policy, if used.
 };
 
 /** Event counters exposed by the Llc. */
@@ -221,8 +217,7 @@ class Llc
     bool wantsOnAccess_ = false;   ///< Cached policy_->wantsOnAccess().
     unsigned uniformIoCap_ = 0;    ///< Cached cap when ioCapUniform().
     bool ioCapUniform_ = true;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    LruPolicy *lru_ = nullptr;     ///< repl_ downcast, or null.
+    LruPolicy lru_;                ///< Replacement state of every set.
     unsigned stride_ = 0;          ///< ways rounded up to a multiple of 4.
     unsigned tagShift_ = 0;        ///< blockShift + set-index bits.
     std::vector<std::uint32_t> tags_; ///< totalSets x stride_ tags.
@@ -248,33 +243,6 @@ class Llc
     }
 
     [[noreturn]] static void panicTagOverflow(Addr paddr);
-
-    // Devirtualized replacement-policy calls: LruPolicy is final, so
-    // these inline completely for the default policy.
-    void
-    replTouch(std::size_t gset, unsigned way)
-    {
-        if (lru_)
-            lru_->touch(gset, way);
-        else
-            repl_->touch(gset, way);
-    }
-
-    unsigned
-    replVictim(std::size_t gset, WayMask mask)
-    {
-        return lru_ ? lru_->victim(gset, mask)
-                    : repl_->victim(gset, mask);
-    }
-
-    void
-    replReset(std::size_t gset, unsigned way)
-    {
-        if (lru_)
-            lru_->reset(gset, way);
-        else
-            repl_->reset(gset, way);
-    }
 
     /** Per-set I/O cap without the virtual call for uniform policies. */
     unsigned

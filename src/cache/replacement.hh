@@ -1,22 +1,20 @@
 /**
  * @file
- * Per-set replacement policies with masked victim selection.
+ * Per-set LRU replacement with masked victim selection.
  *
  * Victim selection takes a candidate-way mask because both DDIO's
  * two-way write-allocation cap and the adaptive partitioning defense
- * (Sec. VII) restrict which ways a fill is allowed to displace. All
- * policies honour the mask; LRU is the default throughout the paper's
- * experiments.
+ * (Sec. VII) restrict which ways a fill is allowed to displace. LRU is
+ * the replacement policy of the paper's LLC and of every experiment
+ * here.
  */
 
 #ifndef PKTCHASE_CACHE_REPLACEMENT_HH
 #define PKTCHASE_CACHE_REPLACEMENT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "sim/rng.hh"
 
 namespace pktchase::cache
 {
@@ -25,41 +23,11 @@ namespace pktchase::cache
 using WayMask = std::uint32_t;
 
 /**
- * Abstract replacement policy covering all sets of one cache.
+ * True least-recently-used via per-line timestamps, covering all sets
+ * of one cache. The methods are defined inline: touch and victim are
+ * the hottest calls in the simulator after the event loop.
  */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** Record a reference to @p way of @p set. */
-    virtual void touch(std::size_t set, unsigned way) = 0;
-
-    /**
-     * Choose a victim among the candidate ways of @p set.
-     * @param set  Global set index.
-     * @param mask Candidate ways (must be nonzero).
-     * @return The chosen way.
-     */
-    virtual unsigned victim(std::size_t set, WayMask mask) = 0;
-
-    /** Invalidate bookkeeping for a way (e.g., after an invalidation). */
-    virtual void reset(std::size_t set, unsigned way) = 0;
-
-    /** Human-readable policy name. */
-    virtual const char *name() const = 0;
-};
-
-/**
- * True least-recently-used via per-line timestamps.
- *
- * The class is final and its methods are defined inline: the Llc
- * keeps a concrete LruPolicy pointer next to the abstract one so the
- * per-access touch/victim calls on the default policy devirtualize
- * and inline (they are the hottest calls in the simulator after the
- * event loop).
- */
-class LruPolicy final : public ReplacementPolicy
+class LruPolicy
 {
   public:
     LruPolicy(std::size_t sets, unsigned ways)
@@ -67,14 +35,21 @@ class LruPolicy final : public ReplacementPolicy
     {
     }
 
+    /** Record a reference to @p way of @p set. */
     void
-    touch(std::size_t set, unsigned way) override
+    touch(std::size_t set, unsigned way)
     {
         stamps_[set * ways_ + way] = clock_++;
     }
 
+    /**
+     * Choose a victim among the candidate ways of @p set.
+     * @param set  Global set index.
+     * @param mask Candidate ways (must be nonzero).
+     * @return The least recently used candidate way.
+     */
     unsigned
-    victim(std::size_t set, WayMask mask) override
+    victim(std::size_t set, WayMask mask) const
     {
         if (mask == 0)
             panicEmptyMask();
@@ -93,13 +68,12 @@ class LruPolicy final : public ReplacementPolicy
         return best_way;
     }
 
+    /** Make @p way of @p set the oldest (e.g., after an invalidation). */
     void
-    reset(std::size_t set, unsigned way) override
+    reset(std::size_t set, unsigned way)
     {
         stamps_[set * ways_ + way] = 0;
     }
-
-    const char *name() const override { return "lru"; }
 
   private:
     [[noreturn]] static void panicEmptyMask();
@@ -108,54 +82,6 @@ class LruPolicy final : public ReplacementPolicy
     std::uint64_t clock_ = 1;
     std::vector<std::uint64_t> stamps_; ///< sets x ways, 0 == never used.
 };
-
-/** Tree pseudo-LRU (binary decision tree per set). */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    TreePlruPolicy(std::size_t sets, unsigned ways);
-
-    void touch(std::size_t set, unsigned way) override;
-    unsigned victim(std::size_t set, WayMask mask) override;
-    void reset(std::size_t set, unsigned way) override;
-    const char *name() const override { return "tree-plru"; }
-
-  private:
-    unsigned ways_;
-    unsigned treeWays_;   ///< ways_ rounded up to a power of two.
-    std::vector<std::uint8_t> bits_; ///< sets x (treeWays_ - 1) tree bits.
-
-    /** Whether any candidate way lies in [lo, hi) intersected with mask. */
-    bool anyCandidate(WayMask mask, unsigned lo, unsigned hi) const;
-};
-
-/** Uniform random victim among candidates. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(std::size_t sets, unsigned ways, Rng rng);
-
-    void touch(std::size_t set, unsigned way) override;
-    unsigned victim(std::size_t set, WayMask mask) override;
-    void reset(std::size_t set, unsigned way) override;
-    const char *name() const override { return "random"; }
-
-  private:
-    Rng rng_;
-};
-
-/** Supported policy kinds for configuration. */
-enum class ReplacementKind
-{
-    Lru,
-    TreePlru,
-    Random,
-};
-
-/** Factory for a policy covering @p sets sets of @p ways ways. */
-std::unique_ptr<ReplacementPolicy>
-makeReplacement(ReplacementKind kind, std::size_t sets, unsigned ways,
-                Rng rng);
 
 } // namespace pktchase::cache
 

@@ -1,6 +1,7 @@
 #include "registry.hh"
 
 #include <algorithm>
+#include <climits>
 
 #include "defense/gated_policy.hh"
 #include "detect/detector.hh"
@@ -115,6 +116,26 @@ validNicSpec(const Spec &spec)
           spec.param <= nic::RssSteering::kRetaEntries));
 }
 
+/**
+ * Whether @p spec's count is one its built-in policy's constructor
+ * accepts. contains() checks it here because the constructors fatal,
+ * with their own messages, on the counts they refuse: the partial
+ * interval, the quarantine depth and the DDIO way count must be
+ * nonzero, and the way count must fit an unsigned.
+ */
+bool
+countFits(const Spec &spec)
+{
+    if (!spec.hasParam)
+        return true;
+    const std::string name = spec.domain + "." + spec.policy;
+    if (name == "ring.partial" || name == "ring.quarantine")
+        return spec.param != 0;
+    if (name == "cache.ddio-ways")
+        return spec.param != 0 && spec.param <= UINT_MAX;
+    return true;
+}
+
 } // namespace
 
 Spec
@@ -203,7 +224,7 @@ Registry::Registry()
              "DDIO restricted to exactly N allocation ways per set",
              true, [](const Spec &s) {
                  return std::make_unique<cache::DdioWaysPolicy>(
-                     s.hasParam ? static_cast<unsigned>(s.param) : 2u);
+                     s.hasParam ? s.param : 2u);
              });
     addCache("adaptive",
              "Sec. VII adaptive I/O cache partitioning", false,
@@ -281,10 +302,10 @@ Registry::contains(const std::string &spec_text) const
                 contains(gatedInnerOf(full));
         }
         const RingEntry *e = findEntry(ring_, spec.policy);
-        return e && (!spec.hasParam || e->takesParam);
+        return e && (!spec.hasParam || e->takesParam) && countFits(spec);
     }
     const CacheEntry *e = findEntry(cache_, spec.policy);
-    return e && (!spec.hasParam || e->takesParam);
+    return e && (!spec.hasParam || e->takesParam) && countFits(spec);
 }
 
 std::vector<std::string>
@@ -380,7 +401,9 @@ Cell
 parseCell(const std::string &text)
 {
     const std::size_t plus = text.find('+');
-    if (plus == std::string::npos) {
+    // A trailing '+' would leave an empty nic spec, which silently
+    // means the default queue count.
+    if (plus == std::string::npos || text.back() == '+') {
         fatal("defense::parseCell: malformed cell \"" + text +
               "\" (expected \"<ring spec>+<cache spec>"
               "[+<nic spec>]\")");

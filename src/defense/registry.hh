@@ -109,7 +109,11 @@ class Registry
     std::unique_ptr<cache::InjectionPolicy>
     makeCache(const std::string &spec) const;
 
-    /** Whether @p spec is well-formed and names a registered policy. */
+    /**
+     * Whether @p spec is well-formed and names a registered policy
+     * with a parameter its factory accepts: false for exactly the
+     * specs makeRing()/makeCache() reject.
+     */
     bool contains(const std::string &spec) const;
 
     /** Registered policy names of @p domain ("ring.none", ...), sorted. */

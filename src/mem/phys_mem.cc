@@ -1,6 +1,7 @@
 #include "phys_mem.hh"
 
 #include <numeric>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -33,6 +34,12 @@ PhysMem::allocFrame(Owner owner)
 std::vector<Addr>
 PhysMem::allocFrames(std::size_t count, Owner owner)
 {
+    // Check before reserving: a huge count must fail here on one
+    // line, not in the vector's allocation.
+    if (count > freeList_.size())
+        fatal("PhysMem out of frames (" + std::to_string(count) +
+              " requested, " + std::to_string(freeList_.size()) +
+              " free)");
     std::vector<Addr> out;
     out.reserve(count);
     for (std::size_t i = 0; i < count; ++i)

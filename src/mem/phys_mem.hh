@@ -53,7 +53,7 @@ class PhysMem
      */
     Addr allocFrame(Owner owner);
 
-    /** Allocate @p count frames at once. */
+    /** Allocate @p count frames at once; fatal when fewer are free. */
     std::vector<Addr> allocFrames(std::size_t count, Owner owner);
 
     /** Return a frame to the free pool. */

@@ -12,14 +12,9 @@
  *                     before the first packet;
  *  - onPacket(q, n)   at the top of receive(), before the NIC DMA,
  *                     where n is the number of frames this queue has
- *                     received so far (0 for the first packet);
- *  - onPacketBatch(q, frames, count, first_n)
- *                     batched form of onPacket for a run of count
- *                     consecutive frames steered to q; the default
- *                     implementation delegates to onPacket once per
- *                     frame, so overriding it is purely an
- *                     optimization (see hookTraits below for when the
- *                     driver may use it);
+ *                     received so far (0 for the first packet); the
+ *                     batched receive path calls it once per frame
+ *                     too, in arrival order;
  *  - onRecycle(q, i)  after the driver finished processing the
  *                     queue's descriptor i (copy-break reuse or page
  *                     flip already applied), when the buffer is
@@ -47,7 +42,6 @@
 #include <memory>
 #include <string>
 
-#include "nic/frame.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -70,18 +64,10 @@ class BufferPolicy
      */
     struct HookTraits
     {
-        /** onPacket/onPacketBatch do nothing: skip dispatch entirely. */
+        /** onPacket does nothing: skip dispatch entirely. */
         bool packetNoop = false;
         /** onRecycle does nothing: skip dispatch entirely. */
         bool recycleNoop = false;
-        /**
-         * onPacketBatch over a run of frames is semantically identical
-         * to per-frame onPacket calls interleaved with descriptor
-         * processing (true whenever onPacket does not read or mutate
-         * ring state that descriptor processing also touches). The
-         * driver only routes through onPacketBatch when this is set.
-         */
-        bool packetBatchable = false;
     };
 
     virtual ~BufferPolicy() = default;
@@ -96,23 +82,6 @@ class BufferPolicy
     virtual void onPacket(RxQueue &, std::uint64_t) {}
     virtual void onRecycle(RxQueue &, std::size_t) {}
     virtual void onTeardown(RxQueue &) {}
-
-    /**
-     * Batched packet hook: called in place of onPacket for a run of
-     * @p count consecutive frames all steered to @p q, where
-     * @p first_n is the queue's frames-received count before the first
-     * frame of the run (so frame k of the run is packet first_n + k).
-     * The default delegates to onPacket once per frame in arrival
-     * order, which is exactly the per-packet behaviour.
-     */
-    virtual void
-    onPacketBatch(RxQueue &q, const Frame *frames, std::size_t count,
-                  std::uint64_t first_n)
-    {
-        (void)frames;
-        for (std::size_t k = 0; k < count; ++k)
-            onPacket(q, first_n + k);
-    }
 };
 
 /** Vulnerable baseline: buffers recycle in place forever. */
@@ -125,7 +94,7 @@ class NonePolicy : public BufferPolicy
     HookTraits
     hookTraits() const override
     {
-        return {true, true, true};
+        return {true, true};
     }
 };
 
@@ -138,7 +107,7 @@ class FullRandomPolicy : public BufferPolicy
     HookTraits
     hookTraits() const override
     {
-        return {true, false, true};
+        return {true, false};
     }
 
     void onRecycle(RxQueue &q, std::size_t i) override;
@@ -156,8 +125,7 @@ class PartialPeriodicPolicy : public BufferPolicy
     std::string name() const override;
 
     // Keeps the all-false HookTraits default: onPacket reshuffles the
-    // ring and must interleave with descriptor processing, so neither
-    // skipping nor batching its dispatch is sound.
+    // ring, so its dispatch cannot be skipped.
 
     void onPacket(RxQueue &q, std::uint64_t n) override;
 
@@ -183,7 +151,7 @@ class RandomOffsetPolicy : public BufferPolicy
     HookTraits
     hookTraits() const override
     {
-        return {true, false, true};
+        return {true, false};
     }
 
     void onInit(RxQueue &q) override;
@@ -215,7 +183,7 @@ class QuarantinePolicy : public BufferPolicy
     HookTraits
     hookTraits() const override
     {
-        return {true, false, true};
+        return {true, false};
     }
 
     void onInit(RxQueue &q) override;

@@ -172,15 +172,6 @@ IgbDriver::receiveBatch(const Frame *frames, const Cycles *when,
 
     const bool ddio = hier_.ddioEnabled();
     std::size_t last = 0;
-    // Frames [i, batchHookEnd) already had their packet hook issued
-    // through one onPacketBatch call covering the run; runStart and
-    // runFirstN remember what that call was told so the per-frame
-    // loop below can verify the delegation contract: frame runStart+k
-    // must observe stats_.framesReceived == runFirstN + k, the exact
-    // value the default onPacketBatch loop hands to onPacket.
-    std::size_t batchHookEnd = 0;
-    std::size_t runStart = 0;
-    std::uint64_t runFirstN = 0;
 
     for (std::size_t i = 0; i < count; ++i) {
         const Frame &frame = frames[i];
@@ -193,28 +184,8 @@ IgbDriver::receiveBatch(const Frame *frames, const Cycles *when,
         }
 
         RxQueue &q = *queues_[rss_.queueFor(frame.flow)];
-        if (q.traits_.packetNoop) {
-            // Devirtualized no-defense fast path: nothing to dispatch.
-        } else if (q.traits_.packetBatchable) {
-            if (i >= batchHookEnd) {
-                std::size_t j = i + 1;
-                while (j < count
-                       && queues_[rss_.queueFor(frames[j].flow)].get()
-                              == &q) {
-                    ++j;
-                }
-                obs::bump(obs::Stat::PolicyHooks, j - i);
-                runStart = i;
-                runFirstN = q.stats_.framesReceived;
-                q.policy_->onPacketBatch(q, frames + i, j - i,
-                                         runFirstN);
-                batchHookEnd = j;
-            }
-            if (q.stats_.framesReceived != runFirstN + (i - runStart)) {
-                panic("IgbDriver::receiveBatch: framesReceived drifted "
-                      "from the ordinal passed to the batched hook");
-            }
-        } else {
+        // The no-defense fast path skips a no-op hook's dispatch.
+        if (!q.traits_.packetNoop) {
             obs::bump(obs::Stat::PolicyHooks);
             q.policy_->onPacket(q, q.stats_.framesReceived);
         }
@@ -305,13 +276,6 @@ IgbDriver::processRx(RxQueue &q, std::size_t desc_index,
         telem_->onRecycle(q.index_, desc_index,
                           q.ring_.desc(desc_index).pageBase, now);
     }
-}
-
-void
-IgbDriver::randomizeRing()
-{
-    for (auto &q : queues_)
-        q->randomizeRing();
 }
 
 IgbStats

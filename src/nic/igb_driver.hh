@@ -244,13 +244,11 @@ class IgbDriver
      * Batched receive: process @p count frames with nondecreasing
      * arrival cycles in one call, equivalent frame for frame to
      * calling receive() on each. The batch hoists the per-frame
-     * tracing span and counter bumps, skips hook dispatch for
+     * tracing span and counter bump, and skips hook dispatch for
      * policies whose cached HookTraits mark the hook a no-op (the
-     * devirtualized no-defense fast path), and routes runs of
-     * same-queue frames through BufferPolicy::onPacketBatch when the
-     * policy declares that batchable. Per-frame descriptor
-     * processing, statistics, and delivery taps are unchanged and
-     * keep arrival order within each queue.
+     * devirtualized no-defense fast path). Policy hooks, descriptor
+     * processing, statistics, and delivery taps still run once per
+     * frame, in arrival order.
      *
      * @return Global index of the descriptor the last frame filled.
      */
@@ -332,32 +330,6 @@ class IgbDriver
     {
         return queues_[q]->policy();
     }
-
-    // ------------------------------------------------------------------
-    // Queue-0 convenience mutation surface, kept for single-queue
-    // experiments and tests; randomizeRing spans every queue.
-    // ------------------------------------------------------------------
-
-    /** queue(0).reallocBuffer(i). */
-    void reallocBuffer(std::size_t i) { queues_[0]->reallocBuffer(i); }
-
-    /** Reallocate every descriptor of every queue. */
-    void randomizeRing();
-
-    /** queue(0).swapPage(i, new_page). */
-    Addr swapPage(std::size_t i, Addr new_page)
-    {
-        return queues_[0]->swapPage(i, new_page);
-    }
-
-    /** queue(0).setPageOffset(i, offset). */
-    void setPageOffset(std::size_t i, Addr offset)
-    {
-        queues_[0]->setPageOffset(i, offset);
-    }
-
-    /** Frame source, for policies that own spare pages. */
-    mem::PhysMem &phys() { return phys_; }
 
     /**
      * Attach a recycle-telemetry probe spanning every queue (nullptr

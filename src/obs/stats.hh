@@ -51,10 +51,9 @@ enum class Stat : unsigned
     LlcMisses,       ///< Llc demand-miss fills + I/O allocations.
     ProbeRounds,     ///< PrimeProbeMonitor::probeAll rounds.
     /**
-     * BufferPolicy hook dispatches, counted per frame: a hook the
-     * driver skips because the policy's HookTraits mark it a no-op is
-     * not counted, and one onPacketBatch call covering k frames
-     * counts k.
+     * BufferPolicy onPacket/onRecycle dispatches, one per call: a hook
+     * the driver skips because the policy's HookTraits mark it a no-op
+     * is not counted.
      */
     PolicyHooks,
     DetectorEpochs,  ///< CounterBus samples published.

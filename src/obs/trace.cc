@@ -145,21 +145,12 @@ TraceSession::write()
                      b->tid, jsonEscape(b->threadName).c_str());
         for (const detail::TraceEvent &e : b->events) {
             comma();
-            if (e.durMicros < 0.0) {
-                std::fprintf(f,
-                             "  {\"ph\": \"i\", \"s\": \"t\", "
-                             "\"name\": \"%s\", \"cat\": \"%s\", "
-                             "\"ts\": %.3f, \"pid\": 0, \"tid\": %u}",
-                             jsonEscape(eventName(e)).c_str(), e.cat,
-                             e.tsMicros, b->tid);
-            } else {
-                std::fprintf(f,
-                             "  {\"ph\": \"X\", \"name\": \"%s\", "
-                             "\"cat\": \"%s\", \"ts\": %.3f, "
-                             "\"dur\": %.3f, \"pid\": 0, \"tid\": %u}",
-                             jsonEscape(eventName(e)).c_str(), e.cat,
-                             e.tsMicros, e.durMicros, b->tid);
-            }
+            std::fprintf(f,
+                         "  {\"ph\": \"X\", \"name\": \"%s\", "
+                         "\"cat\": \"%s\", \"ts\": %.3f, "
+                         "\"dur\": %.3f, \"pid\": 0, \"tid\": %u}",
+                         jsonEscape(eventName(e)).c_str(), e.cat,
+                         e.tsMicros, e.durMicros, b->tid);
         }
         if (b->dropped > 0) {
             dropped += b->dropped;

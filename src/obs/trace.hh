@@ -8,9 +8,10 @@
  * flag such as `examples/campaign --trace=out.json`) with one event
  * track per attached thread: the driver/main thread attaches as tid 0
  * at construction, and every campaign worker attaches itself as
- * tid w+1. Spans are RAII (obs::ScopedSpan) and instants one-shot
- * (obs::instant); both record into the calling thread's private
- * buffer, so recording takes no lock.
+ * tid w+1. Spans are RAII (obs::ScopedSpan) and each names the
+ * obs::ProfilePhase it belongs to, so every span a trace shows is
+ * also one the profiler aggregates; spans record into the calling
+ * thread's private buffer, so recording takes no lock.
  *
  * Zero-cost-when-detached rule: with no session active (the default
  * everywhere, including every golden test), the thread-local buffer
@@ -47,7 +48,7 @@ class TraceSession;
 namespace detail
 {
 
-/** One recorded span or instant. */
+/** One recorded span. */
 struct TraceEvent
 {
     /** Static-storage name; null when dynName is used instead. */
@@ -55,7 +56,7 @@ struct TraceEvent
     std::string dynName;
     const char *cat = "sim";
     double tsMicros = 0.0;  ///< Start, relative to session start.
-    double durMicros = -1.0; ///< Span duration; < 0 means instant.
+    double durMicros = 0.0; ///< Span duration.
 };
 
 /** One thread's private event store. */
@@ -137,7 +138,7 @@ class TraceSession
 
     /**
      * Attach the calling thread as track @p tid named @p name; from
-     * now on its spans/instants record here. Fatal when the thread is
+     * now on its spans record here. Fatal when the thread is
      * already attached.
      */
     void attachCurrentThread(std::uint32_t tid, std::string name);
@@ -198,42 +199,16 @@ void attachWorkerThread(unsigned worker_index);
 void detachWorkerThread();
 
 /**
- * RAII span: records [construction, destruction) on the calling
- * thread's track. When no session is attached the constructor is one
- * thread-local load and a branch.
+ * RAII span of one profile phase: records [construction, destruction)
+ * on the calling thread's track when a trace session is attached, and
+ * folds its duration into the thread's PhaseStats slot for the phase
+ * when a profile session is attached. Detached from both, the
+ * constructor is one thread-local load and a branch per session.
  */
 class ScopedSpan
 {
   public:
-    /** @p name and @p cat must have static storage duration. */
-    explicit ScopedSpan(const char *name, const char *cat = "sim")
-    {
-        if (detail::TraceBuffer *b = detail::tlsTrace()) {
-            buf_ = b;
-            name_ = name;
-            cat_ = cat;
-            startMicros_ = b->nowMicros();
-        }
-    }
-
-    /** Dynamic-name span (campaign cell names); @p name is copied
-     *  only when a session is attached. */
-    ScopedSpan(const std::string &name, const char *cat)
-    {
-        if (detail::TraceBuffer *b = detail::tlsTrace()) {
-            buf_ = b;
-            dynName_ = name;
-            cat_ = cat;
-            startMicros_ = b->nowMicros();
-        }
-    }
-
-    /**
-     * Profiled span: besides tracing (when a trace session is
-     * attached), folds its duration into the calling thread's
-     * PhaseStats slot for @p phase (when a profile session is
-     * attached). Detached from both, still one load + branch each.
-     */
+    /** Span named after @p phase. */
     explicit ScopedSpan(const ProfilePhase &phase)
     {
         if (detail::TraceBuffer *b = detail::tlsTrace()) {
@@ -248,9 +223,10 @@ class ScopedSpan
         }
     }
 
-    /** Profiled span with a dynamic trace name (campaign cell names):
-     *  the trace track shows @p name, the profile aggregates under
-     *  the phase (per-cell split comes from the campaign drain). */
+    /** Span with a dynamic trace name (campaign cell names): the
+     *  trace track shows @p name, copied only when a trace session
+     *  is attached; the profile aggregates under @p phase (per-cell
+     *  split comes from the campaign drain). */
     ScopedSpan(const std::string &name, const ProfilePhase &phase)
     {
         if (detail::TraceBuffer *b = detail::tlsTrace()) {
@@ -291,19 +267,6 @@ class ScopedSpan
     const char *cat_ = "sim";
     double startMicros_ = 0.0;
 };
-
-/** Record an instant event on the calling thread's track. */
-inline void
-instant(const char *name, const char *cat = "sim")
-{
-    if (detail::TraceBuffer *b = detail::tlsTrace()) {
-        detail::TraceEvent e;
-        e.name = name;
-        e.cat = cat;
-        e.tsMicros = b->nowMicros();
-        b->record(std::move(e));
-    }
-}
 
 } // namespace pktchase::obs
 

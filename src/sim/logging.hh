@@ -27,7 +27,8 @@ extern int logVerbosity;
 [[noreturn]] void panic(const std::string &msg);
 
 /**
- * Report an unrecoverable user/configuration error and exit(1).
+ * Report an unrecoverable user/configuration error on one stderr line
+ * ("fatal: <msg>", control bytes escaped as \xHH) and exit(1).
  */
 [[noreturn]] void fatal(const std::string &msg);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/llc.hh"
+#include "sim/rng.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "cache/llc.hh"
+#include "sim/rng.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;

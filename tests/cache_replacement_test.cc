@@ -1,95 +1,74 @@
 /**
  * @file
- * Parameterized tests for the replacement policies, especially the
- * masked victim selection that partitioning relies on.
+ * Tests for the LLC's LRU replacement, especially the masked victim
+ * selection that partitioning relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/replacement.hh"
+#include "sim/rng.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;
 
-class Policies : public ::testing::TestWithParam<ReplacementKind>
+namespace
 {
-  protected:
-    static constexpr std::size_t sets = 8;
-    static constexpr unsigned ways = 8;
 
-    std::unique_ptr<ReplacementPolicy>
-    make()
-    {
-        return makeReplacement(GetParam(), sets, ways, Rng(5));
-    }
-};
+constexpr std::size_t kSets = 8;
+constexpr unsigned kWays = 8;
+constexpr WayMask kFull = (WayMask(1) << kWays) - 1;
 
-TEST_P(Policies, VictimAlwaysInMask)
+} // namespace
+
+TEST(Lru, VictimAlwaysInMask)
 {
-    auto policy = make();
+    LruPolicy lru(kSets, kWays);
     Rng rng(1);
     for (int t = 0; t < 2000; ++t) {
-        const std::size_t set = rng.nextBounded(sets);
+        const std::size_t set = rng.nextBounded(kSets);
         WayMask mask = static_cast<WayMask>(
-            rng.nextBounded((1u << ways) - 1) + 1);
-        const unsigned v = policy->victim(set, mask);
-        EXPECT_LT(v, ways);
+            rng.nextBounded((1u << kWays) - 1) + 1);
+        const unsigned v = lru.victim(set, mask);
+        EXPECT_LT(v, kWays);
         EXPECT_TRUE(mask & (WayMask(1) << v));
-        policy->touch(set, v);
+        lru.touch(set, v);
     }
 }
 
-TEST_P(Policies, SingletonMaskForcesTheWay)
+TEST(Lru, SingletonMaskForcesTheWay)
 {
-    auto policy = make();
-    for (unsigned w = 0; w < ways; ++w)
-        EXPECT_EQ(policy->victim(0, WayMask(1) << w), w);
+    LruPolicy lru(kSets, kWays);
+    for (unsigned w = 0; w < kWays; ++w)
+        EXPECT_EQ(lru.victim(0, WayMask(1) << w), w);
 }
 
-TEST_P(Policies, TouchKeepsRecentWaySafeUnderFullMask)
+TEST(Lru, TouchKeepsRecentWaySafeUnderFullMask)
 {
-    if (GetParam() == ReplacementKind::Random)
-        GTEST_SKIP() << "random has no recency";
-    auto policy = make();
-    const WayMask full = (WayMask(1) << ways) - 1;
-    // Touch ways 0..ways-1 in order; the first touched is the victim.
-    for (unsigned w = 0; w < ways; ++w)
-        policy->touch(3, w);
-    const unsigned v = policy->victim(3, full);
-    EXPECT_EQ(v, 0u);
+    LruPolicy lru(kSets, kWays);
+    // Touch ways 0..kWays-1 in order; the first touched is the victim.
+    for (unsigned w = 0; w < kWays; ++w)
+        lru.touch(3, w);
+    EXPECT_EQ(lru.victim(3, kFull), 0u);
     // After re-touching 0, the victim must not be 0.
-    policy->touch(3, 0);
-    EXPECT_NE(policy->victim(3, full), 0u);
+    lru.touch(3, 0);
+    EXPECT_NE(lru.victim(3, kFull), 0u);
 }
 
-TEST_P(Policies, SetsAreIndependent)
+TEST(Lru, SetsAreIndependent)
 {
-    auto policy = make();
-    const WayMask full = (WayMask(1) << ways) - 1;
-    for (unsigned w = 0; w < ways; ++w)
-        policy->touch(0, w);
+    LruPolicy lru(kSets, kWays);
+    for (unsigned w = 0; w < kWays; ++w)
+        lru.touch(0, w);
     // Set 1 is untouched; set 0's history must not leak into it.
-    const unsigned v1 = policy->victim(1, full);
-    EXPECT_LT(v1, ways);
+    EXPECT_LT(lru.victim(1, kFull), kWays);
 }
 
-TEST_P(Policies, DeathOnEmptyMask)
+TEST(LruDeath, EmptyMaskPanics)
 {
-    auto policy = make();
-    EXPECT_DEATH(policy->victim(0, 0), "mask");
+    LruPolicy lru(kSets, kWays);
+    EXPECT_DEATH(lru.victim(0, 0), "mask");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, Policies,
-    ::testing::Values(ReplacementKind::Lru, ReplacementKind::TreePlru,
-                      ReplacementKind::Random),
-    [](const ::testing::TestParamInfo<ReplacementKind> &info) {
-        switch (info.param) {
-          case ReplacementKind::Lru: return "lru";
-          case ReplacementKind::TreePlru: return "treeplru";
-          default: return "random";
-        }
-    });
 
 TEST(Lru, ExactLeastRecentlyUsedOrder)
 {
@@ -123,39 +102,4 @@ TEST(Lru, MaskedVictimIsOldestCandidate)
     lru.touch(0, 3);
     // Restrict to {1, 3}: 1 is older.
     EXPECT_EQ(lru.victim(0, (1u << 1) | (1u << 3)), 1u);
-}
-
-TEST(TreePlru, NonPowerOfTwoWays)
-{
-    // 20 ways (the E5-2660 LLC) is not a power of two; the tree pads
-    // to 32 but must never return a way >= 20.
-    TreePlruPolicy plru(4, 20);
-    Rng rng(2);
-    const WayMask full = (WayMask(1) << 20) - 1;
-    for (int t = 0; t < 2000; ++t) {
-        const unsigned v = plru.victim(1, full);
-        EXPECT_LT(v, 20u);
-        plru.touch(1, v);
-    }
-}
-
-TEST(TreePlru, AvoidsJustTouchedWay)
-{
-    TreePlruPolicy plru(1, 8);
-    const WayMask full = 0xFF;
-    for (int t = 0; t < 100; ++t) {
-        const unsigned v = plru.victim(0, full);
-        plru.touch(0, v);
-        EXPECT_NE(plru.victim(0, full), v);
-    }
-}
-
-TEST(Random, CoversCandidates)
-{
-    RandomPolicy rnd(1, 8, Rng(3));
-    const WayMask mask = 0b10101010;
-    std::set<unsigned> seen;
-    for (int t = 0; t < 500; ++t)
-        seen.insert(rnd.victim(0, mask));
-    EXPECT_EQ(seen, (std::set<unsigned>{1, 3, 5, 7}));
 }

@@ -2,16 +2,35 @@
  * @file
  * Tests for the defense spec grammar and registry: parsing, loud
  * failure on unknown or malformed specs, parse -> instantiate -> name
- * round-trips, and custom policy registration.
+ * round-trips, custom policy registration, and a seeded mutation loop
+ * over every spec the registered grids name.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "defense/registry.hh"
 #include "nic/igb_driver.hh"
+#include "sim/rng.hh"
+#include "workload/attack_eval.hh"
+#include "workload/defense_eval.hh"
+#include "workload/detect_eval.hh"
 
 using namespace pktchase;
 using namespace pktchase::defense;
+
+namespace
+{
+
+/** Death-test regex: the whole of stderr is one "fatal:" line. */
+constexpr const char *kOneFatalLine = "^fatal: [^\n]*\n$";
+
+} // namespace
 
 TEST(SpecParse, FieldsOfValidSpecs)
 {
@@ -91,6 +110,36 @@ TEST(RegistryDeath, ZeroParamsRejectedByPolicies)
                 ::testing::ExitedWithCode(1), "ddio-ways");
 }
 
+TEST(RegistryDeath, OversizedAndNestedZeroCountsFatal)
+{
+    // A way count past UINT_MAX must not truncate (here to 1 way).
+    EXPECT_EXIT(canonicalSpec("cache.ddio-ways:4294967297"),
+                ::testing::ExitedWithCode(1),
+                "^fatal: [^\n]*does not fit[^\n]*\n$");
+    // A gated wrapper's inner policy is built by the same factories.
+    EXPECT_EXIT(makeRingPolicy("ring.gated:cadence:partial.0"),
+                ::testing::ExitedWithCode(1), "interval");
+}
+
+TEST(Registry, ContainsRejectsExactlyWhatTheFactoriesReject)
+{
+    // Each spec parses and names a registered policy, but its factory
+    // refuses the count (see the death tests above).
+    const Registry &reg = Registry::instance();
+    EXPECT_FALSE(reg.contains("ring.partial:0"));
+    EXPECT_FALSE(reg.contains("ring.quarantine:0"));
+    EXPECT_FALSE(reg.contains("cache.ddio-ways:0"));
+    EXPECT_FALSE(reg.contains("ring.gated:cadence:partial.0"));
+    EXPECT_FALSE(reg.contains("cache.ddio-ways:4294967297"));
+    // The boundary counts the factories still take.
+    EXPECT_TRUE(reg.contains("ring.partial:1"));
+    EXPECT_TRUE(reg.contains("ring.quarantine:1"));
+    EXPECT_TRUE(reg.contains("ring.gated:cadence:partial.1"));
+    EXPECT_TRUE(reg.contains("cache.ddio-ways:4294967295"));
+    EXPECT_EQ(canonicalSpec("cache.ddio-ways:4294967295"),
+              "cache.ddio-ways:4294967295");
+}
+
 TEST(Registry, ContainsKnowsBuiltInsAndRejectsUnknowns)
 {
     const Registry &reg = Registry::instance();
@@ -166,6 +215,9 @@ TEST(CellDeath, MalformedCellsFatal)
                 "malformed cell");
     EXPECT_EXIT(parseCell("cache.ddio+ring.none"),
                 ::testing::ExitedWithCode(1), "ring spec");
+    // A trailing '+' is not a default nic spec.
+    EXPECT_EXIT(parseCell("ring.none+cache.ddio+"),
+                ::testing::ExitedWithCode(1), "malformed cell");
 }
 
 TEST(NicSpec, QueueCountsParseAndCanonicalize)
@@ -236,4 +288,119 @@ TEST(Registry, CustomPolicyRegistration)
     EXPECT_EQ(canonicalSpec("ring.every-other"), "ring.every-other");
     EXPECT_EQ(makeRingPolicy("ring.every-other")->name(),
               "ring.every-other");
+}
+
+namespace
+{
+
+/**
+ * Every spec the registered grids name: the canonical cell names of
+ * each grid's cell list, split at '+' -- so the seeds include the
+ * ring.gated:<detector>:<inner> production and the nic specs.
+ */
+std::vector<std::string>
+gridSpecs()
+{
+    std::set<std::string> specs;
+    for (const std::vector<Cell> &cells :
+         {workload::fig16Cells(), workload::extendedCells(),
+          workload::fig16qCells(), workload::fig20Cells(),
+          workload::figD2Cells()}) {
+        for (const Cell &cell : cells) {
+            const std::string name = cell.name();
+            std::size_t start = 0;
+            for (std::size_t plus = name.find('+');
+                 plus != std::string::npos;
+                 plus = name.find('+', start)) {
+                specs.insert(name.substr(start, plus - start));
+                start = plus + 1;
+            }
+            specs.insert(name.substr(start));
+        }
+    }
+    return {specs.begin(), specs.end()};
+}
+
+} // namespace
+
+/**
+ * The seeded mutation loop over the spec grammar: each byte mutant of
+ * a grid spec must either be rejected by contains(), or canonicalize
+ * to a spec that contains() accepts and that is its own canonical
+ * form. A sample of the rejected mutants must then fail its factory
+ * -- makeRing, makeCache, or parseCell for nic specs -- with exactly
+ * one fatal line.
+ */
+TEST(SpecGrammar, MutantsAreRejectedOrCanonicalize)
+{
+    const std::vector<std::string> seeds = gridSpecs();
+    ASSERT_GE(seeds.size(), 10u);
+    const Registry &reg = Registry::instance();
+
+    // Bytes the grammar cares about, so mutants reach past the lexer,
+    // and counts at the edges of what the policies accept.
+    static const char kBytes[] = "0123456789.:+-abcdefgilnopqrstuwy";
+    static const char *const kCounts[] = {
+        "0", "1", "4294967295", "4294967296", "18446744073709551615",
+        "99999999999999999999"};
+    Rng rng(2026);
+    std::vector<std::pair<std::string, std::string>> rejected;
+    std::size_t accepted = 0;
+    for (std::size_t n = 0; n < 4000; ++n) {
+        const std::string &seed = seeds[n % seeds.size()];
+        std::string text = seed;
+        const std::uint64_t edits = 1 + rng.nextBounded(3);
+        for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+            const std::size_t pos = rng.nextBounded(text.size());
+            const char byte = kBytes[rng.nextBounded(sizeof(kBytes) - 1)];
+            switch (rng.nextBounded(5)) {
+              case 0:
+                text[pos] = byte;
+                break;
+              case 1:
+                text[pos] = static_cast<char>(rng.nextBounded(256));
+                break;
+              case 2:
+                text.erase(pos, 1 + rng.nextBounded(4));
+                break;
+              case 3:
+                text.insert(pos, 1, byte);
+                break;
+              default:
+                // Replace whatever follows the last ':' or '.'.
+                text = text.substr(0, text.find_last_of(":.") + 1) +
+                    kCounts[rng.nextBounded(std::size(kCounts))];
+                break;
+            }
+        }
+        if (!reg.contains(text)) {
+            rejected.emplace_back(seed, text);
+            continue;
+        }
+        ++accepted;
+        const std::string canon = canonicalSpec(text);
+        EXPECT_TRUE(reg.contains(canon)) << text << " -> " << canon;
+        EXPECT_EQ(canonicalSpec(canon), canon) << text;
+    }
+    // Parameter digits mutate into other valid specs; most structural
+    // mutants are rejected. Both paths must have run.
+    EXPECT_GT(accepted, 0u);
+    ASSERT_GE(rejected.size(), 100u);
+
+    // Each death test forks, so only a sample of about 100 runs.
+    const std::size_t stride = rejected.size() / 100;
+    for (std::size_t i = 0; i < rejected.size(); i += stride) {
+        const auto &[seed, text] = rejected[i];
+        SCOPED_TRACE("mutant of " + seed + ": " + text);
+        if (seed.rfind("ring.", 0) == 0) {
+            EXPECT_EXIT(makeRingPolicy(text),
+                        ::testing::ExitedWithCode(1), kOneFatalLine);
+        } else if (seed.rfind("cache.", 0) == 0) {
+            EXPECT_EXIT(makeCachePolicy(text),
+                        ::testing::ExitedWithCode(1), kOneFatalLine);
+        } else {
+            EXPECT_EXIT(parseCell("ring.none+cache.ddio+" + text),
+                        ::testing::ExitedWithCode(1), kOneFatalLine);
+        }
+    }
 }

@@ -86,6 +86,24 @@ TEST(PhysMemDeath, ExhaustionIsFatal)
         ::testing::ExitedWithCode(1), "out of frames");
 }
 
+/** A batch larger than the free pool fails on one line before anything
+ *  is reserved, so a huge ring.quarantine depth cannot abort the
+ *  process in the vector's allocation. */
+TEST(PhysMemDeath, OversizedBatchIsFatalBeforeReserving)
+{
+    PhysMem pm(Addr(1) << 20, Rng(7));
+    EXPECT_EXIT(pm.allocFrames(1000000000000ull, Owner::Kernel),
+                ::testing::ExitedWithCode(1),
+                "^fatal: PhysMem out of frames[^\n]*\n$");
+    EXPECT_EXIT(pm.allocFrames(4000000000000000000ull, Owner::Kernel),
+                ::testing::ExitedWithCode(1),
+                "^fatal: PhysMem out of frames[^\n]*\n$");
+    EXPECT_EXIT(pm.allocFrames(257, Owner::Kernel),
+                ::testing::ExitedWithCode(1), "out of frames");
+    // The whole pool is still one valid batch.
+    EXPECT_EQ(pm.allocFrames(256, Owner::Kernel).size(), 256u);
+}
+
 TEST(PhysMemDeath, DoubleFreePanics)
 {
     PhysMem pm(Addr(1) << 20, Rng(8));

@@ -1,8 +1,7 @@
 /**
  * @file
  * Equivalence and contract tests for the batched NIC receive path
- * (IgbDriver::receiveBatch + TrafficPump delivery batching +
- * BufferPolicy::onPacketBatch).
+ * (IgbDriver::receiveBatch + TrafficPump delivery batching).
  *
  * The batching work is a pure optimization: every observable --
  * descriptor layout, per-queue statistics, delivery-tap streams, and
@@ -10,10 +9,9 @@
  * legacy one-event-per-frame path. These tests pin that equivalence
  * for every registered ring policy (with a registry cross-check so a
  * newly registered policy cannot dodge coverage), plus the two
- * delegation contracts the batch hook introduces: per-queue arrival
- * order is preserved across batch boundaries, and the frame ordinals
- * onPacket sees through the default onPacketBatch delegation match
- * the pre-batch per-frame values.
+ * per-frame contracts a batch must keep: per-queue arrival order is
+ * preserved across batch boundaries, and onPacket sees the same frame
+ * ordinals as under per-frame receive().
  */
 
 #include <gtest/gtest.h>
@@ -156,8 +154,8 @@ baseOf(const std::string &spec)
 } // namespace
 
 /**
- * The batched delivery path (runs through onPacketBatch, trait-based
- * hook skipping, tryAdvanceWithin event folding) must be
+ * The batched delivery path (trait-based hook skipping,
+ * tryAdvanceWithin event folding) must be
  * load-for-load identical to the legacy per-frame path for every
  * registered ring policy: same statistics, same final descriptor
  * layout (so every random draw happened in the same order), and same
@@ -251,9 +249,9 @@ namespace
 {
 
 /**
- * Batchable policy that records the frame ordinal of every onPacket
- * call, so the test can compare the sequence the default
- * onPacketBatch delegation produces against the per-frame path's.
+ * Policy that records the frame ordinal of every onPacket call, so
+ * the test can compare the sequence a batched receive produces
+ * against the per-frame path's.
  */
 class RecordingPolicy : public nic::BufferPolicy
 {
@@ -268,7 +266,7 @@ class RecordingPolicy : public nic::BufferPolicy
     HookTraits
     hookTraits() const override
     {
-        return {false, true, true};
+        return {false, true};
     }
 
     void
@@ -284,13 +282,10 @@ class RecordingPolicy : public nic::BufferPolicy
 } // namespace
 
 /**
- * The frame ordinal the default onPacketBatch delegation hands to
- * onPacket (first_n + k) must equal the stats_.framesReceived value
- * the per-frame path would have passed -- i.e. receiveBatch over N
- * frames produces the exact onPacket(n) sequence of N receive()
- * calls. (IgbDriver::receiveBatch additionally panics if a queue's
- * framesReceived drifts from the ordinal its batched hook was given;
- * this run exercises that assertion on multi-queue interleaved runs.)
+ * receiveBatch over N frames produces the exact onPacket(n) sequence
+ * of N receive() calls: each frame's hook sees its queue's
+ * framesReceived count before that frame, on multi-queue interleaved
+ * runs too.
  */
 TEST(NicBatch, OnPacketSeesPreBatchFramesReceived)
 {

@@ -154,17 +154,22 @@ TEST(ObsCampaign, CounterTotalsMatchAcrossThreadCounts)
     }
 }
 
+/** Test-only span site (registered once per process). */
+const obs::ProfilePhase &
+testPhase()
+{
+    static const obs::ProfilePhase p{"test.span", "test"};
+    return p;
+}
+
 TEST(ObsTrace, DetachedByDefault)
 {
     EXPECT_FALSE(obs::tracing());
     EXPECT_EQ(obs::TraceSession::active(), nullptr);
-    // Spans and instants without a session must be harmless no-ops.
-    {
-        const obs::ScopedSpan span("noop", "test");
-        obs::instant("noop-instant", "test");
-    }
+    // Spans without a session must be harmless no-ops.
+    { const obs::ScopedSpan span(testPhase()); }
     const obs::StatSnapshot before = obs::snapshot();
-    { const obs::ScopedSpan span("noop2", "test"); }
+    { const obs::ScopedSpan span(std::string("noop"), testPhase()); }
     // A detached span must not touch the counters either.
     const obs::StatSnapshot delta = obs::snapshot() - before;
     for (std::size_t i = 0; i < obs::kStatCount; ++i)
@@ -180,10 +185,9 @@ TEST(ObsTrace, WritesChromeTraceJson)
         EXPECT_TRUE(obs::tracing());
         EXPECT_EQ(obs::TraceSession::active(), &session);
         {
-            const obs::ScopedSpan outer("outer-span", "test");
+            const obs::ScopedSpan outer(testPhase());
             const obs::ScopedSpan inner(std::string("dynamic-span"),
-                                        "test");
-            obs::instant("marker", "test");
+                                        testPhase());
         }
     }
     EXPECT_FALSE(obs::tracing());
@@ -197,14 +201,15 @@ TEST(ObsTrace, WritesChromeTraceJson)
 
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(text.find("\"displayTimeUnit\""), std::string::npos);
-    EXPECT_NE(text.find("\"outer-span\""), std::string::npos);
+    EXPECT_NE(text.find("\"test.span\""), std::string::npos);
     EXPECT_NE(text.find("\"dynamic-span\""), std::string::npos);
-    EXPECT_NE(text.find("\"marker\""), std::string::npos);
+    EXPECT_NE(text.find("\"cat\": \"test\""), std::string::npos);
     EXPECT_NE(text.find("thread_name"), std::string::npos);
     EXPECT_NE(text.find("\"driver\""), std::string::npos);
-    // Spans are complete events, instants thread-scoped instants.
+    // Spans are complete events; with nothing dropped there is no
+    // instant marker.
     EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(text.find("\"ph\": \"i\""), std::string::npos);
+    EXPECT_EQ(text.find("\"ph\": \"i\""), std::string::npos);
     std::remove(path.c_str());
 }
 
@@ -214,8 +219,9 @@ TEST(ObsTrace, BoundedBufferCountsDrops)
         testing::TempDir() + "/obs_trace_drop_test.json";
     {
         obs::TraceSession session(path, 4);
-        for (int i = 0; i < 10; ++i)
-            obs::instant("flood", "test");
+        for (int i = 0; i < 10; ++i) {
+            const obs::ScopedSpan span(testPhase());
+        }
         EXPECT_EQ(session.droppedEvents(), 6u);
     }
     std::ifstream in(path);

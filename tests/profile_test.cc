@@ -497,8 +497,9 @@ TEST(ProfileReport, CarriesTraceDropCounts)
     {
         obs::TraceSession trace(tracePath, 4);
         obs::ProfileSession session(3);
-        for (int i = 0; i < 10; ++i)
-            obs::instant("flood", "test");
+        for (int i = 0; i < 10; ++i) {
+            const obs::ScopedSpan span(outerPhase());
+        }
 
         CampaignConfig cfg;
         cfg.threads = 1;
