@@ -19,6 +19,12 @@
  * strings captured at commit 3d789f5 through runtime::Campaign at
  * campaign seed 1, and threads=1 and threads=4 must both reproduce
  * them byte for byte.
+ *
+ * The fig7q, fig16q and figD2 goldens pin those three grids as the
+ * scenario registry builds them, at their registered sizes: whole
+ * formatReport() strings captured at commit eadbc09 through
+ * `campaign <grid>` at campaign seed 1, checked at threads=1 and
+ * threads=4 like the rest.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +33,7 @@
 #include "runtime/registry.hh"
 #include "runtime/sweep.hh"
 #include "workload/defense_eval.hh"
+#include "workload/detect_eval.hh"
 
 using namespace pktchase;
 using namespace pktchase::workload;
@@ -172,6 +179,105 @@ const char *const kFig16xGolden =
     "llc_miss_rate=0x1.2e51f87723526p-2 "
     "mem_read_blocks=0x1.d312p+17 mem_write_blocks=0x1.17p+10\n";
 
+const char *const kFig7qGolden =
+    "[0] fig7q/nic.queues:1 queues=0x1p+0 active_combos=0x1.ap+3 "
+    "candidates=0x1.ep+3 recall=0x1p+0 mean_queue_candidates=0x1.ap+3\n"
+    "[1] fig7q/nic.queues:2 queues=0x1p+1 active_combos=0x1p+4 "
+    "candidates=0x1p+4 recall=0x1p+0 mean_queue_candidates=0x1.bp+3\n"
+    "[2] fig7q/nic.queues:4 queues=0x1p+2 active_combos=0x1p+4 "
+    "candidates=0x1p+4 recall=0x1p+0 mean_queue_candidates=0x1.cp+3\n";
+
+const char *const kFig16qGolden =
+    "[0] fig16q/ring.none+cache.ddio p50=0x1.2b8832bda1e43p+1 "
+    "p90=0x1.876dbed8a6aep+1 p99=0x1.9358f0de4496dp+1 "
+    "p99_9=0x1.95b1d10f99421p+1 p99_99=0x1.96e432b848b4ep+1 "
+    "kreq_per_sec=0x1.8995a23f2d4dcp+6 "
+    "llc_miss_rate=0x1.f6953f00a6fedp-3 mem_read_blocks=0x1.02d28p+18 "
+    "mem_write_blocks=0x1.6e8p+11\n"
+    "[1] fig16q/ring.full+cache.ddio p50=0x1.f309154bf5aeep+1 "
+    "p90=0x1.186296a701af5p+2 p99=0x1.1dbe142780981p+2 "
+    "p99_9=0x1.1f786abb842e4p+2 p99_99=0x1.2072b61e1a968p+2 "
+    "kreq_per_sec=0x1.77829d32e9c1p+6 "
+    "llc_miss_rate=0x1.f6d9b1df623a6p-3 mem_read_blocks=0x1.02f5cp+18 "
+    "mem_write_blocks=0x1.b368p+13\n"
+    "[2] fig16q/ring.partial:1000+cache.ddio p50=0x1.4c246d55fd1bp+1 "
+    "p90=0x1.a13ef3a8ed2e5p+1 p99=0x1.ad2a25ae8b16fp+1 "
+    "p99_9=0x1.af8305dfdfc24p+1 p99_99=0x1.b0b567888f35p+1 "
+    "kreq_per_sec=0x1.8995a23f2d4dcp+6 "
+    "llc_miss_rate=0x1.f6be826f51f73p-3 mem_read_blocks=0x1.02e7cp+18 "
+    "mem_write_blocks=0x1.4acp+12\n"
+    "[3] fig16q/ring.none+cache.ddio+nic.queues:2 "
+    "p50=0x1.2bb8d4329780ap+1 p90=0x1.87748fad3ff7fp+1 "
+    "p99=0x1.935e2f0ba6cf9p+1 p99_9=0x1.95ba8e05e7a0ep+1 "
+    "p99_99=0x1.96ebe23ff40bcp+1 kreq_per_sec=0x1.8995e5ed79726p+6 "
+    "llc_miss_rate=0x1.f6a1de2b89f98p-3 mem_read_blocks=0x1.02d9p+18 "
+    "mem_write_blocks=0x1.0ap+13\n"
+    "[4] fig16q/ring.full+cache.ddio+nic.queues:2 "
+    "p50=0x1.f31d1dc95f2c8p+1 p90=0x1.18763278be7edp+2 "
+    "p99=0x1.1dcf92b13b082p+2 p99_9=0x1.1f80fe164db6dp+2 "
+    "p99_99=0x1.207c6adc6c901p+2 kreq_per_sec=0x1.7786d35fb5372p+6 "
+    "llc_miss_rate=0x1.f6c8b43958106p-3 mem_read_blocks=0x1.02edp+18 "
+    "mem_write_blocks=0x1.b37p+13\n"
+    "[5] fig16q/ring.partial:1000+cache.ddio+nic.queues:2 "
+    "p50=0x1.4c246d55fd1bp+1 p90=0x1.8ac157133357cp+1 "
+    "p99=0x1.9a5b60f48b372p+1 p99_9=0x1.a0cea6921f052p+1 "
+    "p99_99=0x1.a13d2f8d625c8p+1 kreq_per_sec=0x1.899607c4a83f4p+6 "
+    "llc_miss_rate=0x1.f6b06e70b7421p-3 mem_read_blocks=0x1.02e08p+18 "
+    "mem_write_blocks=0x1.21bp+13\n"
+    "[6] fig16q/ring.none+cache.ddio+nic.queues:4 "
+    "p50=0x1.2b78ba4d0caafp+1 p90=0x1.876c41ccd550dp+1 "
+    "p99=0x1.935572155870ep+1 p99_9=0x1.95ae5246ad1c3p+1 "
+    "p99_99=0x1.96e0b3ef5c8fp+1 kreq_per_sec=0x1.8993ea5475bc6p+6 "
+    "llc_miss_rate=0x1.f6ab93aefd7f3p-3 mem_read_blocks=0x1.02dep+18 "
+    "mem_write_blocks=0x1.9548p+13\n"
+    "[7] fig16q/ring.full+cache.ddio+nic.queues:4 "
+    "p50=0x1.f2b7aa25d8d7ap+1 p90=0x1.185ab9c48b408p+2 "
+    "p99=0x1.1db656587d902p+2 p99_9=0x1.1f6ece12fac6p+2 "
+    "p99_99=0x1.20691975912e4p+2 kreq_per_sec=0x1.778cb8fa41002p+6 "
+    "llc_miss_rate=0x1.f6b0eab749d59p-3 mem_read_blocks=0x1.02e0cp+18 "
+    "mem_write_blocks=0x1.b3ep+13\n"
+    "[8] fig16q/ring.partial:1000+cache.ddio+nic.queues:4 "
+    "p50=0x1.2b78ba4d0caafp+1 p90=0x1.876c41ccd550dp+1 "
+    "p99=0x1.935572155870ep+1 p99_9=0x1.95ae5246ad1c3p+1 "
+    "p99_99=0x1.96e0b3ef5c8fp+1 kreq_per_sec=0x1.8993ea5475bc6p+6 "
+    "llc_miss_rate=0x1.f6ab93aefd7f3p-3 mem_read_blocks=0x1.02dep+18 "
+    "mem_write_blocks=0x1.9548p+13\n";
+
+const char *const kFigD2Golden =
+    "[0] figD2/benign/ring.none+cache.ddio p50=0x1.f49f802f58448p-6 "
+    "p90=0x1.b813f2e203c9dp+1 p99=0x1.f5ad4bf78366dp+1 "
+    "p99_9=0x1.fc16ca5da74d9p+1 p99_99=0x1.fd36acd6ac7c5p+1 "
+    "kreq_per_sec=0x1.90e7f2d6f68dcp+6 buffers_reallocated=0x0p+0 "
+    "ring_randomizations=0x0p+0 arm_transitions=0x0p+0 "
+    "armed_epochs=0x0p+0\n"
+    "[1] figD2/benign/ring.partial:1000+cache.ddio "
+    "p50=0x1.25b2f3550a582p-3 p90=0x1.d11cd515d8c96p+1 "
+    "p99=0x1.07bf4063e4f38p+2 p99_9=0x1.0af3ff96f6e6ep+2 "
+    "p99_99=0x1.0b83f0d3797e4p+2 kreq_per_sec=0x1.90e7f2d6f68dcp+6 "
+    "buffers_reallocated=0x1.cp+10 ring_randomizations=0x1.cp+2 "
+    "arm_transitions=0x0p+0 armed_epochs=0x0p+0\n"
+    "[2] figD2/benign/ring.gated:cadence:partial.1000+cache.ddio "
+    "p50=0x1.f49f802f58448p-6 p90=0x1.b813f2e203c9dp+1 "
+    "p99=0x1.f5ad4bf78366dp+1 p99_9=0x1.fc16ca5da74d9p+1 "
+    "p99_99=0x1.fd36acd6ac7c5p+1 kreq_per_sec=0x1.90e7f2d6f68dcp+6 "
+    "buffers_reallocated=0x0p+0 ring_randomizations=0x0p+0 "
+    "arm_transitions=0x0p+0 armed_epochs=0x0p+0\n"
+    "[3] figD2/attack/ring.none+cache.ddio "
+    "accuracy=0x1.e666666666666p-1 correct=0x1.3p+4 trials=0x1.4p+4 "
+    "probe_rounds=0x1.13cp+14 buffers_reallocated=0x0p+0 "
+    "ring_randomizations=0x0p+0 arm_transitions=0x0p+0 "
+    "armed_epochs=0x0p+0\n"
+    "[4] figD2/attack/ring.partial:1000+cache.ddio "
+    "accuracy=0x1.3333333333333p-1 correct=0x1.8p+3 trials=0x1.4p+4 "
+    "probe_rounds=0x1.1408p+14 buffers_reallocated=0x1p+9 "
+    "ring_randomizations=0x1p+1 arm_transitions=0x0p+0 "
+    "armed_epochs=0x0p+0\n"
+    "[5] figD2/attack/ring.gated:cadence:partial.1000+cache.ddio "
+    "accuracy=0x1.3333333333333p-1 correct=0x1.8p+3 trials=0x1.4p+4 "
+    "probe_rounds=0x1.1408p+14 buffers_reallocated=0x1p+8 "
+    "ring_randomizations=0x1p+0 arm_transitions=0x1.ap+3 "
+    "armed_epochs=0x1.2b7p+12\n";
+
 /** The formatReport() string of @p grid at campaign seed 1. */
 std::string
 runGrid(const std::vector<runtime::Scenario> &grid, unsigned threads)
@@ -189,6 +295,15 @@ expectGolden(const std::vector<runtime::Scenario> &grid,
 {
     EXPECT_EQ(runGrid(grid, 1), golden) << "threads=1";
     EXPECT_EQ(runGrid(grid, 4), golden) << "threads=4";
+}
+
+/** The grid the scenario registry builds under @p name. */
+std::vector<runtime::Scenario>
+registeredGrid(const std::string &name)
+{
+    registerDefenseScenarios();
+    registerDetectionScenarios();
+    return runtime::ScenarioRegistry::instance().make(name);
 }
 
 } // namespace
@@ -226,6 +341,21 @@ TEST(DefenseRegression, Fig15GridMatchesGolden)
 TEST(DefenseRegression, Fig16xGridMatchesGolden)
 {
     expectGolden(extendedLatencyGrid(kRate, kRequests), kFig16xGolden);
+}
+
+TEST(DefenseRegression, Fig7qGridMatchesGolden)
+{
+    expectGolden(registeredGrid("fig7q"), kFig7qGolden);
+}
+
+TEST(DefenseRegression, Fig16qGridMatchesGolden)
+{
+    expectGolden(registeredGrid("fig16q"), kFig16qGolden);
+}
+
+TEST(DefenseRegression, FigD2GridMatchesGolden)
+{
+    expectGolden(registeredGrid("figD2"), kFigD2Golden);
 }
 
 TEST(DefenseRegression, ExtendedGridRunsNewSpecsByName)

@@ -14,6 +14,10 @@
  * accuracy 100% with adaptive partitioning pushed to chance, and
  * fig13 out-of-sync rates climbing with target bandwidth and queue
  * count.
+ *
+ * The fig11 golden pins the registered fig11 grid (300 symbols per
+ * cell); it was captured at commit eadbc09 through `campaign fig11`
+ * at campaign seed 1.
  */
 
 #include <string>
@@ -22,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/campaign.hh"
+#include "runtime/registry.hh"
 #include "runtime/scenario.hh"
 #include "workload/attack_eval.hh"
 
@@ -79,6 +84,26 @@ const char *kFig13Golden =
     "out_of_sync_rate=0x1.d3a06d3a06d3ap-1 received=0x1.ap+5 "
     "probe_rounds=0x1.ade5p+16\n";
 
+const char *kFig11Golden =
+    "[0] fig11/binary/7khz bandwidth_bps=0x1.07e6f0405f7cep+11 "
+    "error_rate=0x1.70a3d70a3d70ap-4 received=0x1.38p+8 "
+    "probe_rounds=0x1.314p+10\n"
+    "[1] fig11/binary/14khz bandwidth_bps=0x1.07e6f0405f7cep+11 "
+    "error_rate=0x1.b4e81b4e81b4fp-4 received=0x1.46p+8 "
+    "probe_rounds=0x1.30ep+11\n"
+    "[2] fig11/binary/28khz bandwidth_bps=0x1.07e6f0405f7cep+11 "
+    "error_rate=0x1.b4e81b4e81b4fp-4 received=0x1.48p+8 "
+    "probe_rounds=0x1.30cp+12\n"
+    "[3] fig11/ternary/7khz bandwidth_bps=0x1.a843d6e7076dcp+11 "
+    "error_rate=0x1.0369d0369d037p-4 received=0x1.32p+8 "
+    "probe_rounds=0x1.2c8p+10\n"
+    "[4] fig11/ternary/14khz bandwidth_bps=0x1.a843d6e7076dcp+11 "
+    "error_rate=0x1.1eb851eb851ecp-4 received=0x1.3ep+8 "
+    "probe_rounds=0x1.2c6p+11\n"
+    "[5] fig11/ternary/28khz bandwidth_bps=0x1.a843d6e7076dcp+11 "
+    "error_rate=0x1.62fc962fc963p-4 received=0x1.45p+8 "
+    "probe_rounds=0x1.2c3p+12\n";
+
 std::string
 runGrid(std::vector<runtime::Scenario> grid, unsigned threads)
 {
@@ -111,6 +136,33 @@ TEST(TaskGolden, Fig13ReportFourThreadsMatchesGolden)
 {
     EXPECT_EQ(runGrid(workload::fig13ChannelGrid(600), 4),
               kFig13Golden);
+}
+
+std::vector<runtime::Scenario>
+registeredFig11()
+{
+    workload::registerAttackScenarios();
+    return runtime::ScenarioRegistry::instance().make("fig11");
+}
+
+TEST(TaskGolden, Fig11ReportSerialMatchesGolden)
+{
+    EXPECT_EQ(runGrid(registeredFig11(), 1), kFig11Golden);
+}
+
+TEST(TaskGolden, Fig11ReportFourThreadsMatchesGolden)
+{
+    EXPECT_EQ(runGrid(registeredFig11(), 4), kFig11Golden);
+}
+
+TEST(TaskGolden, Fig11MonolithicReferenceMatchesGolden)
+{
+    const auto grid = registeredFig11();
+    std::vector<runtime::ScenarioResult> results;
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        results.push_back(
+            runtime::runScenarioMonolithic(grid[i], i, kSeed));
+    EXPECT_EQ(runtime::formatReport(results), kFig11Golden);
 }
 
 TEST(TaskGolden, MonolithicReferenceMatchesCampaignCells)
