@@ -1,10 +1,10 @@
 /**
  * @file
- * Detection-subsystem bench: the figD1 detector-quality grid (ROC AUC
- * and alarm rates per attacker probe rate and queue count, plus the
- * benign-server false-positive rates) and the figD2 gating grid
- * (detector-gated vs. always-on defense, benign latency and
- * under-attack fingerprint accuracy), as one parallel campaign.
+ * Detection-subsystem bench: the registered figD1 detector-quality
+ * grid (ROC AUC and alarm rates per attacker probe rate and queue
+ * count, plus the benign-server false-positive rates) and figD2 gating
+ * grid (detector-gated vs. always-on defense, benign latency and
+ * under-attack fingerprint accuracy), formatted as tables.
  *
  * The headline the tables demonstrate: the gated defense
  * ring.gated:cadence:partial.1000 costs nothing when benign (p99
@@ -12,11 +12,10 @@
  * reallocations) while holding fingerprint accuracy under attack at
  * the always-on ring.partial:1000 level.
  *
- * Emits BENCH_detection.json (via sim::BenchReport). Threads default
- * to the machine; set PKTCHASE_THREADS to pin.
+ * `campaign figD1 --report=R` (or figD2) writes the same cells as
+ * JSON. Threads default to the machine; set PKTCHASE_THREADS to pin.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,20 +34,15 @@ main()
                   "Detector ROC and the detector-gated defense: pay "
                   "for the defense only while under attack");
 
-    const auto t0 = std::chrono::steady_clock::now();
-    auto grid = figD1DetectionGrid();
-    const auto gating = figD2GatingGrid(100000.0, 8000);
-    grid.insert(grid.end(), gating.begin(), gating.end());
-    const auto results = runtime::sweep(grid);
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
+    registerDetectionScenarios();
+    const auto quality = runtime::sweep("figD1");
+    const auto gating = runtime::sweep("figD2");
 
     std::printf("  figD1: detector quality (default thresholds)\n");
     std::printf("  %-36s %8s %8s %8s\n", "cell", "AUC", "TPR", "FPR");
     bench::rule(66);
-    for (const auto &r : results) {
-        if (r.name.rfind("figD1/", 0) != 0 || !r.has("auc"))
+    for (const auto &r : quality) {
+        if (!r.has("auc"))
             continue;
         std::printf("  %-36s %8.3f %8.3f %8.3f\n",
                     r.name.c_str() + 6, r.value("auc"),
@@ -56,39 +50,29 @@ main()
     }
     bench::rule(66);
     std::printf("  benign-server false positives: ");
-    for (const auto &r : results) {
-        if (r.name.rfind("figD1/", 0) == 0 && r.has("score_peak"))
+    for (const auto &r : quality) {
+        if (r.has("score_peak"))
             std::printf("%s fpr=%.4f  ", r.name.c_str() + 6,
                         r.value("fpr"));
     }
     std::printf("\n\n  figD2: benign open-loop latency (ms)\n");
-    std::vector<std::string> cells;
-    for (const defense::Cell &cell : figD2Cells())
-        cells.push_back(cell.name());
+    const std::vector<std::string> cells =
+        bench::cellNames(figD2Cells());
     const double base_p99 = bench::byName(
-        results, "figD2/benign/ring.none+cache.ddio").value("p99");
-    bench::printLatencyTable(results, "figD2/benign", cells, base_p99);
+        gating, "figD2/benign/ring.none+cache.ddio").value("p99");
+    bench::printLatencyTable(gating, "figD2/benign", cells, base_p99);
 
     std::printf("\n  figD2: fingerprint accuracy under attack\n");
     std::printf("  %-48s %9s %9s %12s\n", "cell", "accuracy",
                 "reallocs", "arm events");
     bench::rule(84);
     for (const std::string &name : cells) {
-        const auto &r = bench::byName(results, "figD2/attack/" + name);
+        const auto &r = bench::byName(gating, "figD2/attack/" + name);
         std::printf("  %-48s %8.1f%% %9.0f %12.0f\n", name.c_str(),
                     r.value("accuracy") * 100.0,
                     r.value("buffers_reallocated"),
                     r.value("arm_transitions"));
     }
     bench::rule(84);
-    std::printf("  %zu cells in %.2f s host time\n", results.size(),
-                elapsed);
-
-    sim::BenchReport report("detection");
-    report.scalar("elapsed_sec", elapsed);
-    bench::addCells(report, results);
-    if (!report.write())
-        return 1;
-    std::printf("  wrote BENCH_detection.json\n");
     return 0;
 }

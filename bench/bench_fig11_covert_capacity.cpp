@@ -1,9 +1,10 @@
 /**
  * @file
  * Fig. 11: covert channel bandwidth and error rate for binary and
- * ternary encodings across probe rates {7, 14, 28} kHz, swept as a
- * parallel campaign over the fig11 scenario grid (each cell assembles
- * its own testbed and probe-engine spy).
+ * ternary encodings across probe rates {7, 14, 28} kHz: the registered
+ * fig11 grid (each cell assembles its own testbed and probe-engine
+ * spy), formatted as the paper's table. `campaign fig11 --report=R`
+ * writes the same cells as JSON.
  *
  * Paper: bandwidth is flat across probe rates (line-rate bound,
  * ~2 kbps binary / ~3.1 kbps ternary at 256 packets/symbol on 1 GbE)
@@ -27,8 +28,8 @@ main()
                   "~2-3.1 kbps bandwidth; error falls with probe "
                   "rate; binary < ternary error)");
 
-    const auto results =
-        runtime::sweep(workload::fig11CovertGrid(300));
+    workload::registerAttackScenarios();
+    const auto results = runtime::sweep("fig11");
 
     std::printf("  %-10s %-12s %14s %12s %10s\n", "encoding",
                 "probe rate", "bandwidth", "error rate", "received");
@@ -47,7 +48,5 @@ main()
         }
     }
     bench::rule(66);
-    std::printf("  one symbol per 256 packets at 1 GbE line rate; "
-                "300 symbols per cell\n");
     return 0;
 }

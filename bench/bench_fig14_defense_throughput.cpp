@@ -4,10 +4,11 @@
  * baseline, across LLC sizes {20, 11, 8} MB. Paper: <2% average loss,
  * worst case 2.7% at 20 MB.
  *
- * Runs as a parallel campaign: all six (LLC size x cache mode) cells
- * execute concurrently on the runtime's worker threads (>= 4 by
+ * Formats the registered fig14 grid: all six (LLC size x cache mode)
+ * cells execute concurrently on the runtime's worker threads (>= 4 by
  * default; override with PKTCHASE_THREADS) and merge deterministically
  * -- the table below is bit-identical at any thread count.
+ * `campaign fig14 --report=R` writes the same cells as JSON.
  */
 
 #include <cstdio>
@@ -26,9 +27,8 @@ main()
                   "Nginx throughput: adaptive partitioning vs. DDIO "
                   "(paper: <2% average loss, max 2.7% at 20 MB)");
 
-    const std::size_t requests = 4000;
-    const auto results =
-        runtime::sweep(fig14ThroughputGrid(requests));
+    registerDefenseScenarios();
+    const auto results = runtime::sweep("fig14");
 
     std::printf("  %-14s %16s %16s %10s\n", "geometry",
                 "DDIO (kreq/s)", "adaptive (kreq/s)", "loss");
@@ -57,13 +57,5 @@ main()
     bench::rule(62);
     std::printf("  average loss: %.2f%% (paper: <2%%)\n",
                 loss_sum / 3.0);
-
-    sim::BenchReport report("fig14");
-    report.scalar("requests", static_cast<double>(requests));
-    report.scalar("average_loss_pct", loss_sum / 3.0);
-    bench::addCells(report, results);
-    if (!report.write())
-        return 1;
-    std::printf("  wrote BENCH_fig14.json\n");
     return 0;
 }

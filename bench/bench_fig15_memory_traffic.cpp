@@ -4,46 +4,20 @@
  * {file copy, TCP recv, Nginx} under {no DDIO, DDIO, adaptive
  * partitioning}. Paper: DDIO and the defense both cut memory traffic
  * versus no-DDIO, with the defense within ~2% of DDIO.
+ *
+ * Formats the registered fig15 grid, normalizing each workload's rows
+ * to its no-DDIO cell. `campaign fig15 --report=R` writes the same
+ * cells as JSON.
  */
 
 #include <cstdio>
 #include <string>
 
 #include "bench_util.hh"
+#include "runtime/sweep.hh"
 #include "workload/defense_eval.hh"
 
 using namespace pktchase;
-using namespace pktchase::workload;
-
-namespace
-{
-
-struct Row
-{
-    double rd = 0, wr = 0, miss = 0;
-};
-
-Row
-rowFor(const std::string &cache_spec, const char *workload)
-{
-    Row r;
-    if (std::string(workload) == "file-copy") {
-        const IoMetrics m = fileCopyMetrics(cache_spec, Addr(32) << 20);
-        r = {static_cast<double>(m.memReadBlocks),
-             static_cast<double>(m.memWriteBlocks), m.llcMissRate};
-    } else if (std::string(workload) == "tcp-recv") {
-        const IoMetrics m = tcpRecvMetrics(cache_spec, 20000);
-        r = {static_cast<double>(m.memReadBlocks),
-             static_cast<double>(m.memWriteBlocks), m.llcMissRate};
-    } else {
-        const ServerMetrics m = nginxMetrics(cache_spec, 3000);
-        r = {static_cast<double>(m.memReadBlocks),
-             static_cast<double>(m.memWriteBlocks), m.llcMissRate};
-    }
-    return r;
-}
-
-} // namespace
 
 int
 main()
@@ -53,23 +27,35 @@ main()
                   "no-DDIO baseline (paper: DDIO and adaptive both "
                   "reduce traffic; defense within ~2% of DDIO)");
 
-    const char *workloads[] = {"file-copy", "tcp-recv", "nginx"};
-    const char *specs[] = {"cache.no-ddio", "cache.ddio",
-                           "cache.adaptive"};
+    workload::registerDefenseScenarios();
+    const auto results = runtime::sweep("fig15");
 
-    for (const char *wl : workloads) {
-        std::printf("  -- %s --\n", wl);
+    const struct { const char *label, *slug; } workloads[] = {
+        {"file-copy", "filecopy"},
+        {"tcp-recv", "tcprecv"},
+        {"nginx", "nginx"},
+    };
+    for (const auto &wl : workloads) {
+        const std::string prefix =
+            std::string("fig15/") + wl.slug + "/ring.none+";
+        const runtime::ScenarioResult &base =
+            bench::byName(results, prefix + "cache.no-ddio");
+        const double base_rd = base.value("mem_read_blocks");
+        const double base_wr = base.value("mem_write_blocks");
+        std::printf("  -- %s --\n", wl.label);
         std::printf("  %-24s %12s %12s %12s\n", "cache policy",
                     "norm. reads", "norm. writes", "miss rate");
         bench::rule(66);
-        Row base;
-        for (const char *spec : specs) {
-            const Row r = rowFor(spec, wl);
-            if (std::string(spec) == "cache.no-ddio")
-                base = r;
+        for (const char *spec :
+             {"cache.no-ddio", "cache.ddio", "cache.adaptive"}) {
+            const runtime::ScenarioResult &r =
+                bench::byName(results, prefix + spec);
             std::printf("  %-24s %12.3f %12.3f %12.4f\n", spec,
-                        base.rd > 0 ? r.rd / base.rd : 0.0,
-                        base.wr > 0 ? r.wr / base.wr : 0.0, r.miss);
+                        base_rd > 0 ? r.value("mem_read_blocks") / base_rd
+                                    : 0.0,
+                        base_wr > 0 ? r.value("mem_write_blocks") / base_wr
+                                    : 0.0,
+                        r.value("llc_miss_rate"));
         }
         std::printf("\n");
     }

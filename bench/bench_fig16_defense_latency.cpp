@@ -12,15 +12,15 @@
  * attack needs ~65k packets to deconstruct the ring, so 10k-interval
  * reshuffling still breaks it.
  *
- * Runs as a parallel campaign: all defense cells execute concurrently
- * (>= 4 worker threads by default; PKTCHASE_THREADS overrides) and
- * every cell sees the same arrival process, so the percentile columns
- * are a paired comparison.
+ * Formats the registered fig16, fig16x and fig16q grids. Each runs as
+ * a parallel campaign (>= 4 worker threads by default;
+ * PKTCHASE_THREADS overrides), and every cell of a grid sees the same
+ * arrival process, so each p99 delta is a paired comparison against a
+ * ring.none+cache.ddio baseline under the same load.
+ * `campaign <grid> --report=R` writes the same cells as JSON.
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "runtime/sweep.hh"
@@ -29,22 +29,6 @@
 using namespace pktchase;
 using namespace pktchase::workload;
 
-namespace
-{
-
-/** Canonical names of a cell list, for the shared table printer. */
-std::vector<std::string>
-cellNames(const std::vector<defense::Cell> &cells)
-{
-    std::vector<std::string> names;
-    names.reserve(cells.size());
-    for (const defense::Cell &cell : cells)
-        names.push_back(cell.name());
-    return names;
-}
-
-} // namespace
-
 int
 main()
 {
@@ -52,44 +36,30 @@ main()
                   "Response latency percentiles per defense (paper: "
                   "adaptive +3.1% at p99, full randomization +41.8%)");
 
-    const double rate = 100000.0;
-    const std::size_t requests = 20000;
-
-    // One concatenated sweep: the paper, extended, and multi-queue
-    // cells share the worker pool (no barrier between the tables), and
-    // the names already carry distinct fig16/fig16x/fig16q prefixes.
-    auto grid = fig16LatencyGrid(rate, requests);
-    const auto extended = extendedLatencyGrid(rate, requests);
-    grid.insert(grid.end(), extended.begin(), extended.end());
-    const auto multiq = fig16qLatencyGrid(rate, requests);
-    grid.insert(grid.end(), multiq.begin(), multiq.end());
-    const auto results = runtime::sweep(grid);
-    const double base_p99 = bench::byName(
-        results, "fig16/ring.none+cache.ddio").value("p99");
+    registerDefenseScenarios();
+    const auto paper = runtime::sweep("fig16");
+    const auto extended = runtime::sweep("fig16x");
+    const auto multiq = runtime::sweep("fig16q");
+    const double base_p99 =
+        bench::byName(paper, "fig16/ring.none+cache.ddio").value("p99");
 
     std::printf("  paper cells (latency in ms):\n");
-    bench::printLatencyTable(results, "fig16", cellNames(fig16Cells()),
-                             base_p99);
+    bench::printLatencyTable(paper, "fig16",
+                             bench::cellNames(fig16Cells()), base_p99);
 
     std::printf("\n  extended cells (p99 vs. the same baseline):\n");
-    bench::printLatencyTable(results, "fig16x",
-                             cellNames(extendedCells()), base_p99);
+    bench::printLatencyTable(extended, "fig16x",
+                             bench::cellNames(extendedCells()), base_p99);
 
+    // fig16q runs its own request stream, so its p99 deltas are
+    // against its own single-queue baseline.
     std::printf("\n  multi-queue cells (RSS steering; per-packet-count"
                 " defenses\n  reshuffle each ring N x less often at N"
-                " queues):\n");
-    bench::printLatencyTable(results, "fig16q",
-                             cellNames(fig16qCells()), base_p99);
-
-    std::printf("  open loop at %.0fk req/s, %zu requests per "
-                "configuration\n", rate / 1000.0, requests);
-
-    sim::BenchReport report("fig16");
-    report.scalar("rate_req_per_sec", rate);
-    report.scalar("requests", static_cast<double>(requests));
-    bench::addCells(report, results);
-    if (!report.write())
-        return 1;
-    std::printf("  wrote BENCH_fig16.json\n");
+                " queues; p99 vs. the\n  fig16q single-queue"
+                " baseline):\n");
+    bench::printLatencyTable(
+        multiq, "fig16q", bench::cellNames(fig16qCells()),
+        bench::byName(multiq, "fig16q/ring.none+cache.ddio")
+            .value("p99"));
     return 0;
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * The fig20 fingerprint grid as a performance bench: closed-world
- * accuracy per defense cell and NIC queue count (paper Sec. V: 89.7%
- * with DDIO, 86.5% without, and ~chance once a real defense is on),
- * plus the probe-engine throughput that produced it.
+ * The registered fig20 fingerprint grid as a performance bench:
+ * closed-world accuracy per defense cell and NIC queue count (paper
+ * Sec. V: 89.7% with DDIO, 86.5% without, and ~chance once a real
+ * defense is on), plus the probe-engine throughput that produced it.
  *
  * Emits BENCH_fingerprint.json (via sim::BenchReport) -- accuracy and
  * simulated probe rounds per cell plus host-side probe rounds/sec --
@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "runtime/registry.hh"
 #include "runtime/sweep.hh"
+#include "sim/bench_report.hh"
 #include "workload/attack_eval.hh"
 
 using namespace pktchase;
@@ -37,8 +39,9 @@ main()
     // deterministic while the bench still gets host timings; a cell's
     // wall time is the sum of its tasks' (the serialized work, which
     // is what rounds/sec should be measured against).
+    workload::registerAttackScenarios();
     std::vector<runtime::Scenario> grid =
-        workload::fig20FingerprintGrid();
+        runtime::ScenarioRegistry::instance().make("fig20");
     std::vector<std::vector<double>> task_wall(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         task_wall[i].assign(grid[i].taskCount(), 0.0);

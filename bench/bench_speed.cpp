@@ -29,8 +29,6 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,8 +40,10 @@
 #include "obs/profile.hh"
 #include "obs/stats.hh"
 #include "sim/bench_report.hh"
+#include "sim/json.hh"
 #include "testbed/testbed.hh"
 #include "workload/defense_eval.hh"
+#include "workload/detect_eval.hh"
 #include "workload/server.hh"
 
 using namespace pktchase;
@@ -63,22 +63,6 @@ constexpr std::size_t kServerRequests = 1000;
 
 /** Workload seed shared by every cell (identical offered load). */
 constexpr std::uint64_t kSeed = 0x5eedul;
-
-/** The benign flow mix every cell carries: steady connections plus a
- *  many-flow Poisson background, unbounded so it outlives the
- *  horizon (same shape as the figD1 detection workload). */
-std::unique_ptr<net::FlowMix>
-benignMix()
-{
-    auto mix = std::make_unique<net::FlowMix>();
-    for (std::uint32_t f = 0; f < 6; ++f) {
-        mix->add(std::make_unique<net::ConstantStream>(
-            768, 20000.0, 0, nic::Protocol::Udp, 101 + 17 * f));
-    }
-    mix->add(std::make_unique<net::PoissonBackground>(
-        60000.0, Rng(kSeed), 0, 64));
-    return mix;
-}
 
 /**
  * One speed cell: a traffic cell (defense tier x queue count x
@@ -171,7 +155,9 @@ runCellOnce(const SpeedCell &cell)
     cfg.nicSpec = defense::nicSpecOf(cell.queues);
     testbed::Testbed tb(cfg);
 
-    net::TrafficPump pump(tb.eq(), tb.driver(), benignMix(), 1000);
+    // Every traffic cell carries the figD1 benign mix.
+    net::TrafficPump pump(tb.eq(), tb.driver(),
+                          workload::benignMix(kSeed), 1000);
 
     if (!cell.attacker)
         return measure([&tb] { tb.eq().runUntil(kHorizon); });
@@ -250,13 +236,9 @@ main(int argc, char **argv)
             // All digits and in [1, UINT_MAX], the check campaign's
             // --threads makes: a bare atoi would read "2abc" as 2 and
             // wrap "4294967297" to 1.
-            const std::string digits = arg.substr(7);
-            const bool numeric = !digits.empty() && digits.size() <= 19 &&
-                digits.find_first_not_of("0123456789") ==
-                    std::string::npos;
-            const unsigned long long n =
-                numeric ? std::stoull(digits) : 0;
-            if (n < 1 || n > UINT_MAX) {
+            std::uint64_t n = 0;
+            if (!sim::parseDecimalU64(arg.substr(7), n) || n < 1 ||
+                n > UINT_MAX) {
                 fatal("bench_speed: --reps must be an integer in [1, " +
                       std::to_string(UINT_MAX) + "]");
             }

@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "defense/registry.hh"
 #include "runtime/scenario.hh"
-#include "sim/bench_report.hh"
 #include "sim/logging.hh"
-#include "sim/stats.hh"
+#include "workload/defense_eval.hh"
 
 namespace pktchase::bench
 {
@@ -52,9 +52,20 @@ rule(unsigned width = 72)
     std::putchar('\n');
 }
 
+/** Canonical names of a cell list, for printLatencyTable(). */
+inline std::vector<std::string>
+cellNames(const std::vector<defense::Cell> &cells)
+{
+    std::vector<std::string> names;
+    names.reserve(cells.size());
+    for (const defense::Cell &cell : cells)
+        names.push_back(cell.name());
+    return names;
+}
+
 /**
  * Print the standard latency-percentile table (the five
- * sim::kPercentileKeys columns plus a p99 delta against
+ * workload::kPercentileKeys columns plus a p99 delta against
  * @p base_p99) for the named cells, each looked up as
  * "<prefix>/<cell name>" -- the single source of the percentile
  * emission every latency bench shares.
@@ -66,7 +77,7 @@ printLatencyTable(const std::vector<runtime::ScenarioResult> &results,
                   double base_p99)
 {
     std::printf("  %-44s", "cell");
-    for (const std::string &key : sim::kPercentileKeys)
+    for (const std::string &key : workload::kPercentileKeys)
         std::printf(" %8s", key.c_str());
     std::printf("\n");
     rule(96);
@@ -75,43 +86,12 @@ printLatencyTable(const std::vector<runtime::ScenarioResult> &results,
         // grid cannot silently mislabel a defense.
         const auto &r = byName(results, prefix + "/" + name);
         std::printf("  %-44s", name.c_str());
-        for (const std::string &key : sim::kPercentileKeys)
+        for (const std::string &key : workload::kPercentileKeys)
             std::printf(" %8.3f", r.value(key));
         std::printf("  (p99 %+5.1f%%)\n",
                     100.0 * (r.value("p99") / base_p99 - 1.0));
     }
     rule(96);
-}
-
-/**
- * The standard percentile row: one metric per sim::kPercentileKeys
- * entry, computed over @p samples. An empty sample yields all-zero
- * metrics rather than the panic sim::percentile() raises, so a cell
- * whose workload produced no latencies (e.g. a zero-request smoke
- * configuration) still emits a well-formed row.
- */
-inline sim::BenchReport::Metrics
-percentileRow(const std::vector<double> &samples)
-{
-    static const double kLevels[] = {50, 90, 99, 99.9, 99.99};
-    sim::BenchReport::Metrics row;
-    for (std::size_t i = 0; i < sim::kPercentileKeys.size(); ++i) {
-        row.emplace_back(sim::kPercentileKeys[i],
-                         samples.empty()
-                             ? 0.0
-                             : pktchase::percentile(samples,
-                                                    kLevels[i]));
-    }
-    return row;
-}
-
-/** Append every campaign result as a cell of @p report. */
-inline void
-addCells(sim::BenchReport &report,
-         const std::vector<runtime::ScenarioResult> &results)
-{
-    for (const runtime::ScenarioResult &r : results)
-        report.cell(r.name, r.metrics);
 }
 
 } // namespace pktchase::bench

@@ -54,6 +54,7 @@
 #include "runtime/registry.hh"
 #include "runtime/report.hh"
 #include "runtime/sweep.hh"
+#include "sim/json.hh"
 #include "workload/attack_eval.hh"
 #include "workload/defense_eval.hh"
 #include "workload/detect_eval.hh"
@@ -62,18 +63,6 @@ using namespace pktchase;
 
 namespace
 {
-
-/** Parse a decimal string; false on junk or > 19 digits (the same
- *  stoull-overflow cap the defense spec grammar applies). */
-bool
-parseUnsigned(const std::string &digits, std::uint64_t &out)
-{
-    if (digits.empty() || digits.size() > 19 ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = std::stoull(digits);
-    return true;
-}
 
 /** Flags accumulated by parseFlag(). */
 struct Options
@@ -101,14 +90,14 @@ parseFlag(const std::string &arg, Options &opt)
     const std::string shard = "--shard=";
     const std::string report = "--report=";
     if (arg.rfind(threads, 0) == 0) {
-        if (!parseUnsigned(arg.substr(threads.size()), value) ||
+        if (!sim::parseDecimalU64(arg.substr(threads.size()), value) ||
             value > std::numeric_limits<unsigned>::max())
             return false;
         opt.sweep.threads = static_cast<unsigned>(value);
         return true;
     }
     if (arg.rfind(seed, 0) == 0) {
-        if (!parseUnsigned(arg.substr(seed.size()), value))
+        if (!sim::parseDecimalU64(arg.substr(seed.size()), value))
             return false;
         opt.sweep.seed = value;
         opt.seed_set = true;
@@ -125,7 +114,7 @@ parseFlag(const std::string &arg, Options &opt)
     }
     const std::string tracebuf = "--trace-buffer=";
     if (arg.rfind(tracebuf, 0) == 0) {
-        if (!parseUnsigned(arg.substr(tracebuf.size()), value) ||
+        if (!sim::parseDecimalU64(arg.substr(tracebuf.size()), value) ||
             value == 0)
             return false;
         opt.trace_buffer = value;
@@ -276,7 +265,7 @@ main(int argc, char **argv)
     if (!opt.profile_path.empty() || opt.sweep.richProgress) {
         std::uint64_t ticks = 0;
         if (const char *env = std::getenv("PKTCHASE_PROFILE_TICKS")) {
-            if (!parseUnsigned(env, ticks)) {
+            if (!sim::parseDecimalU64(env, ticks)) {
                 std::fprintf(stderr,
                              "invalid PKTCHASE_PROFILE_TICKS "
                              "\"%s\"\n",

@@ -5,24 +5,11 @@
 namespace pktchase::attack
 {
 
-ProbeEngineConfig
-ChasingMonitor::engineConfig(const ChasingConfig &cfg)
-{
-    ProbeEngineConfig ecfg;
-    ecfg.probe = cfg.probe;
-    ecfg.sizeBlocks = cfg.sizeBlocks;
-    ecfg.firstBlock = cfg.firstBlock;
-    ecfg.lowerHalfOnly = cfg.lowerHalfOnly;
-    ecfg.probeInterval = cfg.probeInterval;
-    ecfg.resyncTimeout = cfg.resyncTimeout;
-    return ecfg;
-}
-
 ChasingMonitor::ChasingMonitor(cache::Hierarchy &hier,
                                const ComboGroups &groups,
                                std::vector<std::size_t> combo_seq,
-                               const ChasingConfig &cfg)
-    : engine_(hier, engineConfig(cfg)), queues_(1)
+                               const ProbeEngineConfig &cfg)
+    : engine_(hier, cfg), queues_(1)
 {
     engine_.addChaseStream(groups, std::move(combo_seq));
     engine_.attach(observer_);
@@ -31,8 +18,8 @@ ChasingMonitor::ChasingMonitor(cache::Hierarchy &hier,
 ChasingMonitor::ChasingMonitor(
     cache::Hierarchy &hier, const ComboGroups &groups,
     std::vector<std::vector<std::size_t>> queue_seqs,
-    const ChasingConfig &cfg)
-    : engine_(hier, engineConfig(cfg)), queues_(queue_seqs.size())
+    const ProbeEngineConfig &cfg)
+    : engine_(hier, cfg), queues_(queue_seqs.size())
 {
     if (queue_seqs.empty())
         panic("ChasingMonitor needs at least one queue sequence");

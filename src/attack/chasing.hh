@@ -30,41 +30,6 @@
 namespace pktchase::attack
 {
 
-/** Chasing parameters. */
-struct ChasingConfig
-{
-    /** Shared miss-threshold/ways calibration. */
-    ProbeParams probe;
-
-    /** Blocks probed per half-page (4 -> size classes 1..4+). */
-    unsigned sizeBlocks = 4;
-
-    /**
-     * First in-page block row to probe. The web-fingerprint attack
-     * probes rows 0..3; the covert channel probes rows 1..3 (Sec.
-     * IV-b) -- row 1 fires for every packet thanks to the driver
-     * prefetch, acting as the clock, and dropping row 0 cuts probe
-     * cost enough to chase line-rate-ish senders.
-     */
-    unsigned firstBlock = 0;
-
-    /**
-     * Probe only the lower half-page. Correct whenever the traffic
-     * stays at or below the copy-break threshold (no page flips), and
-     * halves the probe cost -- the covert channel uses this.
-     */
-    bool lowerHalfOnly = false;
-
-    /** Gap between consecutive per-buffer probes. */
-    Cycles probeInterval = 4000;
-
-    /**
-     * Cycles without activity on the expected buffer before declaring
-     * out-of-sync and waiting for the ring to wrap.
-     */
-    Cycles resyncTimeout = 5'000'000;
-};
-
 /** Outcome of a chase (all queues merged). */
 struct ChaseResult
 {
@@ -89,11 +54,12 @@ class ChasingMonitor
      * @param groups    Combo partition of the spy pool.
      * @param combo_seq Recovered ring order as combo ids (one entry
      *                  per ring slot the spy can see).
-     * @param cfg       Probe cadence and thresholds.
+     * @param cfg       Probe cadence, thresholds and the chase
+     *                  fields (blocks probed, resync timeout).
      */
     ChasingMonitor(cache::Hierarchy &hier, const ComboGroups &groups,
                    std::vector<std::size_t> combo_seq,
-                   const ChasingConfig &cfg);
+                   const ProbeEngineConfig &cfg);
 
     /**
      * Multi-queue chase: one cursor per receive queue, each following
@@ -101,7 +67,7 @@ class ChasingMonitor
      */
     ChasingMonitor(cache::Hierarchy &hier, const ComboGroups &groups,
                    std::vector<std::vector<std::size_t>> queue_seqs,
-                   const ChasingConfig &cfg);
+                   const ProbeEngineConfig &cfg);
 
     /**
      * Chase packets on @p eq until @p horizon (traffic pumps must
@@ -116,8 +82,6 @@ class ChasingMonitor
     ProbeEngine engine_;
     ChasingObserver observer_;
     std::size_t queues_ = 0;
-
-    static ProbeEngineConfig engineConfig(const ChasingConfig &cfg);
 };
 
 } // namespace pktchase::attack

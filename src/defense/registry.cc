@@ -6,6 +6,7 @@
 #include "defense/gated_policy.hh"
 #include "detect/detector.hh"
 #include "nic/rss.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace pktchase::defense
@@ -42,11 +43,10 @@ tryParse(const std::string &text, Spec &out)
                 return false;
             out.text = param;
         } else {
-            if (param.empty() || param.size() > 19 ||
-                param.find_first_not_of("0123456789") !=
-                    std::string::npos)
+            // The spec grammar caps a count at 19 digits.
+            if (param.size() > 19 ||
+                !sim::parseDecimalU64(param, out.param))
                 return false;
-            out.param = std::stoull(param);
         }
     }
     if (rest.empty() || rest.find(':') != std::string::npos)

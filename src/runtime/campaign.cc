@@ -1,18 +1,17 @@
 #include "campaign.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <mutex>
 #include <thread>
 
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace pktchase::runtime
@@ -24,12 +23,8 @@ defaultThreads()
     if (const char *env = std::getenv("PKTCHASE_THREADS")) {
         // All digits and in [1, UINT_MAX]: a bare strtol would read
         // "2abc" as 2 and wrap "4294967298" to 2.
-        const bool digits =
-            *env != '\0' && env[std::strspn(env, "0123456789")] == '\0';
-        errno = 0;
-        const unsigned long long n =
-            digits ? std::strtoull(env, nullptr, 10) : 0;
-        if (errno == 0 && n >= 1 && n <= UINT_MAX)
+        std::uint64_t n = 0;
+        if (sim::parseDecimalU64(env, n) && n >= 1 && n <= UINT_MAX)
             return static_cast<unsigned>(n);
         warn("ignoring invalid PKTCHASE_THREADS value");
     }

@@ -54,19 +54,6 @@ struct Report
     std::vector<Row> rows;
 };
 
-/** Decimal uint64 parse with full-string validation. */
-bool
-parseU64(const std::string &digits, std::uint64_t &out)
-{
-    if (digits.empty() || digits.size() > 20 ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(digits.c_str(), &end, 10);
-    return errno == 0 && end && *end == '\0';
-}
-
 /** "0x..." hex uint64 parse (the shard-report seed spelling). */
 bool
 parseHexU64(const std::string &text, std::uint64_t &out)
@@ -111,7 +98,7 @@ readMetaU64(const sim::JsonValue &root, const std::string &key,
         root.require(key, sim::JsonValue::String, what, err);
     if (!v)
         return false;
-    if (!parseU64(v->str, out)) {
+    if (!sim::parseDecimalU64(v->str, out)) {
         err = what + ": \"" + key + "\" is not an unsigned integer";
         return false;
     }
@@ -463,8 +450,8 @@ parseShardSpec(const std::string &text, ShardSpec &out)
         return false;
     std::uint64_t index = 0;
     std::uint64_t count = 0;
-    if (!parseU64(text.substr(0, slash), index) ||
-        !parseU64(text.substr(slash + 1), count))
+    if (!sim::parseDecimalU64(text.substr(0, slash), index) ||
+        !sim::parseDecimalU64(text.substr(slash + 1), count))
         return false;
     if (count == 0 || index >= count || count > 0xFFFFFFFFull)
         return false;

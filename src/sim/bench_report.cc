@@ -6,10 +6,6 @@
 namespace pktchase::sim
 {
 
-const std::vector<std::string> kPercentileKeys = {
-    "p50", "p90", "p99", "p99_9", "p99_99",
-};
-
 namespace
 {
 

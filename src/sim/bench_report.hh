@@ -1,15 +1,14 @@
 /**
  * @file
- * Shared bench-summary emission: the one place that knows how a bench
- * serializes its cells into a BENCH_<name>.json artifact and which
- * metric keys make up the standard latency-percentile row.
+ * Shared bench-summary emission: the one place that knows how a
+ * BENCH_<name>.json artifact is serialized.
  *
  * Every metric is emitted twice: as a readable decimal and as a C99
  * hexfloat ("%a"), so performance-tracking tooling can diff artifacts
  * bit-exactly across commits the same way the golden tests diff
- * formatReport() output. The benches (fig14, fig16, fingerprint,
- * detection) all route their JSON through this helper instead of
- * hand-rolling fprintf blocks.
+ * formatReport() output. The gated benches (bench_speed,
+ * bench_fingerprint_accuracy) route their JSON through this helper
+ * instead of hand-rolling fprintf blocks.
  *
  * The campaign shard layer reuses the same writer for its mergeable
  * per-shard reports: meta() records string-valued header fields (grid
@@ -36,9 +35,6 @@
 
 namespace pktchase::sim
 {
-
-/** The latency-percentile keys the latency grids emit, in order. */
-extern const std::vector<std::string> kPercentileKeys;
 
 /**
  * Accumulates named scalars and cells, then writes

@@ -268,4 +268,22 @@ parseJsonFile(const std::string &path, JsonValue &out, std::string &err)
     return true;
 }
 
+bool
+parseDecimalU64(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() || text.size() > 20)
+        return false;
+    std::uint64_t value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (UINT64_MAX - digit) / 10)
+            return false;
+        value = value * 10 + digit;
+    }
+    out = value;
+    return true;
+}
+
 } // namespace pktchase::sim

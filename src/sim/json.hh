@@ -14,11 +14,16 @@
  * message, never by aborting, raw control characters in strings are
  * rejected, and nesting is capped so hostile input cannot exhaust the
  * stack.
+ *
+ * parseDecimalU64() is the one reader of unsigned decimal input: CLI
+ * flags, environment variables, defense-spec counts and the integer
+ * fields of shard reports all go through it.
  */
 
 #ifndef PKTCHASE_SIM_JSON_HH
 #define PKTCHASE_SIM_JSON_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +62,14 @@ bool parseJson(const std::string &text, JsonValue &out, std::string &err);
 /** Slurp @p path and parse it; false + @p err on I/O or parse error. */
 bool parseJsonFile(const std::string &path, JsonValue &out,
                    std::string &err);
+
+/**
+ * Parse @p text as an unsigned decimal: 1 to 20 ASCII digits whose
+ * value fits a uint64_t, with no sign, space or other byte. On
+ * success stores the value in @p out; on failure returns false and
+ * leaves @p out alone. Callers apply their own range checks.
+ */
+bool parseDecimalU64(const std::string &text, std::uint64_t &out);
 
 } // namespace pktchase::sim
 

@@ -56,13 +56,6 @@ tcpRecvMetrics(const std::string &cache_spec, std::uint64_t packets)
     return runTcpRecv(tb, packets);
 }
 
-ServerMetrics
-nginxMetrics(const std::string &cache_spec, std::size_t requests)
-{
-    return nginxThroughput(cache_spec, cache::Geometry::xeonE52660(),
-                           requests);
-}
-
 LatencyResult
 nginxLatency(const defense::Cell &cell, double rate,
              std::size_t requests, const ServerConfig &scfg)
@@ -193,6 +186,19 @@ fig15TrafficGrid(Addr copy_bytes, std::uint64_t packets,
     return grid;
 }
 
+const std::vector<std::string> kPercentileKeys = {
+    "p50", "p90", "p99", "p99_9", "p99_99",
+};
+
+void
+setLatencyPercentiles(runtime::ScenarioResult &r,
+                      const LatencyResult &lat)
+{
+    static const double kLevels[] = {50, 90, 99, 99.9, 99.99};
+    for (std::size_t i = 0; i < kPercentileKeys.size(); ++i)
+        r.set(kPercentileKeys[i], lat.percentile(kLevels[i]));
+}
+
 std::vector<defense::Cell>
 fig16Cells()
 {
@@ -232,11 +238,7 @@ latencyGrid(const std::vector<defense::Cell> &cells, double rate,
                 const LatencyResult lat =
                     nginxLatency(cell, rate, requests, scfg);
                 runtime::ScenarioResult r;
-                r.set("p50", lat.percentile(50));
-                r.set("p90", lat.percentile(90));
-                r.set("p99", lat.percentile(99));
-                r.set("p99_9", lat.percentile(99.9));
-                r.set("p99_99", lat.percentile(99.99));
+                setLatencyPercentiles(r, lat);
                 fillServerMetrics(r, lat.metrics);
                 return r;
             }});

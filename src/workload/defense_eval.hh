@@ -47,8 +47,6 @@ ServerMetrics nginxThroughput(const std::string &cache_spec,
 IoMetrics fileCopyMetrics(const std::string &cache_spec, Addr bytes);
 IoMetrics tcpRecvMetrics(const std::string &cache_spec,
                          std::uint64_t packets);
-ServerMetrics nginxMetrics(const std::string &cache_spec,
-                           std::size_t requests);
 
 /** Fig. 16: open-loop latency under one defense cell. */
 LatencyResult
@@ -63,6 +61,13 @@ nginxLatency(const defense::Cell &cell, double rate,
 // vs. adaptive at the same LLC size in Fig. 14) share a stream while
 // everything else stays independent.
 // ------------------------------------------------------------------
+
+/** The latency-percentile metric keys the latency grids emit, in order. */
+extern const std::vector<std::string> kPercentileKeys;
+
+/** Set the kPercentileKeys metrics (ms) of @p lat on @p r. */
+void setLatencyPercentiles(runtime::ScenarioResult &r,
+                           const LatencyResult &lat);
 
 /** The five defense cells of the paper's Fig. 16. */
 std::vector<defense::Cell> fig16Cells();

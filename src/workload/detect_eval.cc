@@ -44,24 +44,6 @@ constexpr Addr kTrojanBytes = 256;
 constexpr double kTrojanPps = 280000.0;
 constexpr std::uint32_t kTrojanFlow = 7777;
 
-/**
- * The benign flow mix shared by the attack run and its benign twin:
- * several steady connections plus a many-flow Poisson background, all
- * unbounded so the mix outlives the horizon.
- */
-std::unique_ptr<net::FlowMix>
-benignMix(std::uint64_t seed)
-{
-    auto mix = std::make_unique<net::FlowMix>();
-    for (std::uint32_t f = 0; f < 6; ++f) {
-        mix->add(std::make_unique<net::ConstantStream>(
-            768, 20000.0, 0, nic::Protocol::Udp, 101 + 17 * f));
-    }
-    mix->add(std::make_unique<net::PoissonBackground>(
-        60000.0, Rng(seed), 0, 64));
-    return mix;
-}
-
 /** Reduced multi-queue testbed for the figD1 runs. */
 testbed::TestbedConfig
 detectionTestbedConfig(std::size_t queues)
@@ -185,6 +167,19 @@ fillGateMetrics(runtime::ScenarioResult &r, testbed::Testbed &tb)
 }
 
 } // namespace
+
+std::unique_ptr<net::FlowMix>
+benignMix(std::uint64_t seed)
+{
+    auto mix = std::make_unique<net::FlowMix>();
+    for (std::uint32_t f = 0; f < 6; ++f) {
+        mix->add(std::make_unique<net::ConstantStream>(
+            768, 20000.0, 0, nic::Protocol::Udp, 101 + 17 * f));
+    }
+    mix->add(std::make_unique<net::PoissonBackground>(
+        60000.0, Rng(seed), 0, 64));
+    return mix;
+}
 
 std::vector<double>
 figD1ProbeRates()
@@ -373,11 +368,7 @@ figD2GatingGrid(double rate, std::size_t requests)
                 const LatencyResult lat =
                     server.openLoop(rate, requests);
                 runtime::ScenarioResult r;
-                r.set("p50", lat.percentile(50));
-                r.set("p90", lat.percentile(90));
-                r.set("p99", lat.percentile(99));
-                r.set("p99_9", lat.percentile(99.9));
-                r.set("p99_99", lat.percentile(99.99));
+                setLatencyPercentiles(r, lat);
                 r.set("kreq_per_sec",
                       lat.metrics.kiloRequestsPerSec);
                 fillGateMetrics(r, tb);

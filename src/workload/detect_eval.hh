@@ -32,15 +32,25 @@
 #define PKTCHASE_WORKLOAD_DETECT_EVAL_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "defense/registry.hh"
 #include "detect/detector.hh"
+#include "net/traffic.hh"
 #include "runtime/scenario.hh"
 
 namespace pktchase::workload
 {
+
+/**
+ * The benign flow mix every figD1 run carries, attack run and benign
+ * twin alike: several steady connections plus a many-flow Poisson
+ * background drawn from @p seed, all unbounded so the mix outlives
+ * the horizon.
+ */
+std::unique_ptr<net::FlowMix> benignMix(std::uint64_t seed);
 
 /** The attacker probe rates (Hz) figD1 sweeps. */
 std::vector<double> figD1ProbeRates();

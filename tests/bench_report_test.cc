@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for sim::BenchReport emission and the bench_util.hh helpers:
- * the BENCH_*.json artifact must round-trip through the sim/json.hh
- * parser (the same one the shard-merge tool trusts), the hexfloat map
- * must reproduce every decimal metric bit-exactly, and two writes of
- * the same report must be byte-identical (the property
- * performance-tracking tooling diffs on).
+ * Tests for sim::BenchReport emission and the sim/json.hh parsers:
+ * the BENCH_*.json artifact must round-trip through the JSON parser
+ * (the same one the shard-merge tool trusts), the hexfloat map must
+ * reproduce every decimal metric bit-exactly, two writes of the same
+ * report must be byte-identical (the property performance-tracking
+ * tooling diffs on), and the shared decimal parser must take exactly
+ * the uint64 range.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_util.hh"
 #include "sim/bench_report.hh"
 #include "sim/json.hh"
 
@@ -258,34 +259,23 @@ TEST(JsonParser, AcceptsOnlyJsonNumbers)
     }
 }
 
-TEST(BenchUtil, PercentileRowEmptySampleYieldsZeros)
+TEST(DecimalParser, TakesExactlyTheUint64Range)
 {
-    const sim::BenchReport::Metrics row = bench::percentileRow({});
-    ASSERT_EQ(row.size(), sim::kPercentileKeys.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-        EXPECT_EQ(row[i].first, sim::kPercentileKeys[i]);
-        EXPECT_EQ(row[i].second, 0.0);
+    std::uint64_t v = 7;
+    ASSERT_TRUE(sim::parseDecimalU64("0", v));
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(sim::parseDecimalU64("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+    ASSERT_TRUE(sim::parseDecimalU64("00000000000000000042", v));
+    EXPECT_EQ(v, 42u);
+    // A failed parse leaves the output alone.
+    for (const char *bad : {"18446744073709551616", "", "2abc", "-1",
+                            "+1", " 1", "1 ", "0x10",
+                            "100000000000000000000"}) {
+        v = 7;
+        EXPECT_FALSE(sim::parseDecimalU64(bad, v)) << '"' << bad << '"';
+        EXPECT_EQ(v, 7u) << '"' << bad << '"';
     }
-}
-
-TEST(BenchUtil, PercentileRowSingleSampleIsConstant)
-{
-    const sim::BenchReport::Metrics row = bench::percentileRow({3.5});
-    ASSERT_EQ(row.size(), sim::kPercentileKeys.size());
-    for (const auto &kv : row)
-        EXPECT_DOUBLE_EQ(kv.second, 3.5);
-}
-
-TEST(BenchUtil, PercentileRowIsMonotoneOverASpread)
-{
-    std::vector<double> samples;
-    for (int i = 1; i <= 1000; ++i)
-        samples.push_back(static_cast<double>(i));
-    const sim::BenchReport::Metrics row = bench::percentileRow(samples);
-    ASSERT_EQ(row.size(), 5u);
-    for (std::size_t i = 1; i < row.size(); ++i)
-        EXPECT_LE(row[i - 1].second, row[i].second);
-    EXPECT_DOUBLE_EQ(row[0].second, pktchase::percentile(samples, 50));
 }
 
 } // namespace

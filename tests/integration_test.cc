@@ -143,7 +143,7 @@ TEST(Integration, ChasingObservesSizesInOrder)
         std::make_unique<net::ReplayStream>(frames, 50000.0),
         tb.eq().now() + 1000);
 
-    ChasingConfig cfg;
+    ProbeEngineConfig cfg;
     cfg.probe.ways = tb.config().llc.geom.ways;
     cfg.probeInterval = 5000;
     ChasingMonitor chaser(tb.hier(), tb.groups(),

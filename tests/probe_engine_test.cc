@@ -227,7 +227,7 @@ TEST(ProbeEngineMultiQueue, MultiCtorMatchesSingleCtorAtOneQueue)
             std::make_unique<net::ConstantStream>(
                 256, 40000.0, 150, nic::Protocol::Udp, 7),
             tb.eq().now() + 1000);
-        ChasingConfig cfg;
+        ProbeEngineConfig cfg;
         cfg.probe.ways = tb.config().llc.geom.ways;
         auto seqs = tb.chaseSequences();
         std::unique_ptr<ChasingMonitor> chaser;
