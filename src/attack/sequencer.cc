@@ -326,16 +326,4 @@ expectedMonitorSequence(const std::vector<std::size_t> &ring_sets,
     return expected;
 }
 
-std::vector<std::vector<int>>
-expectedQueueSequences(
-    const std::vector<std::vector<std::size_t>> &queue_ring_sets,
-    const std::vector<std::size_t> &combo_gset)
-{
-    std::vector<std::vector<int>> out;
-    out.reserve(queue_ring_sets.size());
-    for (const std::vector<std::size_t> &ring_sets : queue_ring_sets)
-        out.push_back(expectedMonitorSequence(ring_sets, combo_gset));
-    return out;
-}
-
 } // namespace pktchase::attack

@@ -178,25 +178,6 @@ std::vector<int>
 expectedMonitorSequence(const std::vector<std::size_t> &ring_sets,
                         const std::vector<std::size_t> &combo_gset);
 
-/**
- * Multi-queue ground truth: the expected observable sequence of each
- * receive queue's ring, one per queue. On a multi-queue NIC the spy's
- * probe stream observes an RSS-dependent interleaving of these
- * per-ring cycles -- each queue still recycles its buffers in stable
- * ring order (the Algorithm 1 property), but the global arrival order
- * hops between rings with the flow mix.
- *
- * @param queue_ring_sets Per-queue driver ground truth (global set id
- *                        per ring slot), e.g. from
- *                        IgbDriver::queueGroundTruthSets.
- * @param combo_gset      Global set id of each monitored combo.
- * @return One monitor-index sequence per queue, in queue order.
- */
-std::vector<std::vector<int>>
-expectedQueueSequences(
-    const std::vector<std::vector<std::size_t>> &queue_ring_sets,
-    const std::vector<std::size_t> &combo_gset);
-
 } // namespace pktchase::attack
 
 #endif // PKTCHASE_ATTACK_SEQUENCER_HH

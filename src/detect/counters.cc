@@ -10,91 +10,37 @@ namespace pktchase::detect
 
 // ------------------------------------------------------ LlcCounterProbe --
 
-LlcCounterProbe::LlcCounterProbe(sim::CounterBus &bus, unsigned groups)
-    : bus_(bus), groups_(groups)
+LlcCounterProbe::LlcCounterProbe(SampleSink &sink, Cycles epoch_cycles,
+                                 unsigned groups)
+    : sink_(sink), width_(epoch_cycles), groups_(groups),
+      epochEnd_(epoch_cycles)
 {
-    using sim::CounterKey;
-    keys_.cpuAccesses = CounterKey::intern("cpu_accesses");
-    keys_.cpuMisses = CounterKey::intern("cpu_misses");
-    keys_.missRate = CounterKey::intern("miss_rate");
-    keys_.ddioFills = CounterKey::intern("ddio_fills");
-    keys_.ddioCpuDisplaced = CounterKey::intern("ddio_cpu_displaced");
-    keys_.ioConflicts = CounterKey::intern("io_conflicts");
-    keys_.group.reserve(groups_);
-    for (unsigned g = 0; g < groups_; ++g) {
-        const std::string prefix = "g" + std::to_string(g);
-        keys_.group.emplace_back(CounterKey::intern(prefix + ".misses"),
-                                 CounterKey::intern(prefix + ".fills"));
-    }
-
-    // Prebuild the empty-epoch sample once: zero-fill catch-up (the
-    // common roll() case in sparse phases) then only stamps the epoch
-    // bounds instead of re-emitting every key.
-    zeroSample_.source = "llc";
-    zeroSample_.set(keys_.cpuAccesses, 0.0);
-    zeroSample_.set(keys_.cpuMisses, 0.0);
-    zeroSample_.set(keys_.missRate, 0.0);
-    zeroSample_.set(keys_.ddioFills, 0.0);
-    zeroSample_.set(keys_.ddioCpuDisplaced, 0.0);
-    zeroSample_.set(keys_.ioConflicts, 0.0);
-    for (unsigned g = 0; g < groups_; ++g) {
-        zeroSample_.set(keys_.group[g].first, 0.0);
-        zeroSample_.set(keys_.group[g].second, 0.0);
-    }
-    sample_.source = "llc";
-
-    epochEnd_ = bus_.epochCycles();
     reset();
 }
 
 void
 LlcCounterProbe::reset()
 {
-    acc_ = Acc{};
+    acc_ = LlcSample{};
     acc_.groupMisses.assign(groups_, 0);
     acc_.groupFills.assign(groups_, 0);
+    any_ = false;
 }
 
 void
 LlcCounterProbe::publishEpoch(std::uint64_t epoch)
 {
-    const Cycles width = bus_.epochCycles();
-    if (!acc_.any) {
-        zeroSample_.epoch = epoch;
-        zeroSample_.start = epoch * width;
-        zeroSample_.end = zeroSample_.start + width;
-        bus_.publish(zeroSample_);
-        return;
-    }
-    sample_.clearValues();
-    sample_.epoch = epoch;
-    sample_.start = epoch * width;
-    sample_.end = sample_.start + width;
-    sample_.set(keys_.cpuAccesses, static_cast<double>(acc_.cpuAccesses));
-    sample_.set(keys_.cpuMisses, static_cast<double>(acc_.cpuMisses));
-    sample_.set(keys_.missRate, acc_.cpuAccesses > 0
-        ? static_cast<double>(acc_.cpuMisses) /
-            static_cast<double>(acc_.cpuAccesses)
-        : 0.0);
-    sample_.set(keys_.ddioFills, static_cast<double>(acc_.ddioFills));
-    sample_.set(keys_.ddioCpuDisplaced,
-                static_cast<double>(acc_.ddioCpuDisplaced));
-    sample_.set(keys_.ioConflicts,
-                static_cast<double>(acc_.ioConflicts));
-    for (unsigned g = 0; g < groups_; ++g) {
-        sample_.set(keys_.group[g].first,
-                    static_cast<double>(acc_.groupMisses[g]));
-        sample_.set(keys_.group[g].second,
-                    static_cast<double>(acc_.groupFills[g]));
-    }
-    bus_.publish(sample_);
+    // An epoch without events publishes the reset (all-zero) counts.
+    acc_.epoch = epoch;
+    acc_.start = epoch * width_;
+    acc_.end = acc_.start + width_;
+    sink_.publish(acc_);
 }
 
 void
 LlcCounterProbe::rollSlow(Cycles now)
 {
-    const Cycles width = bus_.epochCycles();
-    const std::uint64_t target = now / width;
+    const std::uint64_t target = now / width_;
     if (target <= epoch_)
         return;
     if (target - epoch_ > kMaxCatchUp) {
@@ -111,14 +57,14 @@ LlcCounterProbe::rollSlow(Cycles now)
         reset();
         ++epoch_;
     }
-    epochEnd_ = (epoch_ + 1) * width;
+    epochEnd_ = (epoch_ + 1) * width_;
 }
 
 void
 LlcCounterProbe::cpuAccess(unsigned group, bool hit, Cycles now)
 {
     roll(now);
-    acc_.any = true;
+    any_ = true;
     ++acc_.cpuAccesses;
     if (!hit) {
         ++acc_.cpuMisses;
@@ -132,7 +78,7 @@ LlcCounterProbe::ioInjection(unsigned group, bool displaced_cpu_line,
                              Cycles now)
 {
     roll(now);
-    acc_.any = true;
+    any_ = true;
     ++acc_.ddioFills;
     if (displaced_cpu_line)
         ++acc_.ddioCpuDisplaced;
@@ -145,7 +91,7 @@ LlcCounterProbe::ioLineConflict(unsigned group, Cycles now)
 {
     (void)group;
     roll(now);
-    acc_.any = true;
+    any_ = true;
     ++acc_.ioConflicts;
 }
 
@@ -153,92 +99,71 @@ void
 LlcCounterProbe::flush(Cycles now)
 {
     roll(now);
-    if (acc_.any) {
+    if (any_) {
         publishEpoch(epoch_);
         reset();
         ++epoch_;
-        epochEnd_ = (epoch_ + 1) * bus_.epochCycles();
+        epochEnd_ = (epoch_ + 1) * width_;
     }
 }
 
 // ------------------------------------------------------- RxCounterProbe --
 
-RxCounterProbe::RxCounterProbe(sim::CounterBus &bus, std::size_t queues)
-    : bus_(bus), queues_(queues), aggCounts_(queues, 0)
+RxCounterProbe::RxCounterProbe(SampleSink &sink, Cycles epoch_cycles,
+                               std::size_t queues)
+    : sink_(sink), width_(epoch_cycles), queues_(queues),
+      curEnd_(epoch_cycles)
 {
-    using sim::CounterKey;
-    keyRecycles_ = CounterKey::intern("recycles");
-    keyPages_ = CounterKey::intern("pages");
-    keyReuseMean_ = CounterKey::intern("reuse_mean");
-    keyEntropy_ = CounterKey::intern("entropy");
-    keyTotal_ = CounterKey::intern("total");
-    sources_.reserve(queues);
-    qKeys_.reserve(queues);
-    for (std::size_t q = 0; q < queues; ++q) {
-        sources_.push_back("rxq" + std::to_string(q));
-        qKeys_.push_back(CounterKey::intern("q" + std::to_string(q)));
-    }
-    curEnd_ = bus_.epochCycles();
+    agg_.perQueue.assign(queues, 0);
 }
 
 void
 RxCounterProbe::publishAggregate(std::uint64_t epoch)
 {
-    const Cycles width = bus_.epochCycles();
-    const double n = static_cast<double>(aggTotal_);
+    const std::vector<double> counts(agg_.perQueue.begin(),
+                                     agg_.perQueue.end());
+    agg_.entropy = normalizedShannonEntropy(counts);
+    agg_.epoch = epoch;
+    agg_.start = epoch * width_;
+    agg_.end = agg_.start + width_;
+    sink_.publish(agg_);
 
-    const std::vector<double> counts(aggCounts_.begin(),
-                                     aggCounts_.end());
-    const double norm = normalizedShannonEntropy(counts);
-
-    sample_.clearValues();
-    sample_.source = "rxagg";
-    sample_.epoch = epoch;
-    sample_.start = epoch * width;
-    sample_.end = sample_.start + width;
-    sample_.set(keyTotal_, n);
-    for (std::size_t q = 0; q < aggCounts_.size(); ++q)
-        sample_.set(qKeys_[q], static_cast<double>(aggCounts_[q]));
-    sample_.set(keyEntropy_, norm);
-    bus_.publish(sample_);
-
-    aggCounts_.assign(aggCounts_.size(), 0);
-    aggTotal_ = 0;
+    agg_.perQueue.assign(agg_.perQueue.size(), 0);
+    agg_.total = 0;
 }
 
 void
 RxCounterProbe::publishEpoch(std::size_t queue, std::uint64_t epoch)
 {
     QueueState &qs = queues_[queue];
-    const Cycles width = bus_.epochCycles();
 
     // Shannon entropy of the epoch's page histogram, normalized by
     // the most even split n recycles allow. The counts come out of an
     // unordered_map, whose iteration order is hash/stdlib-dependent,
     // and FP addition is not associative -- sort before summing so
     // the value is platform-stable and safe to pin.
-    const double n = static_cast<double>(qs.recycles);
     std::vector<double> counts;
     counts.reserve(qs.pageCounts.size());
     for (const auto &kv : qs.pageCounts)
         counts.push_back(static_cast<double>(kv.second));
     std::sort(counts.begin(), counts.end());
-    const double norm = qs.recycles >= 2
-        ? shannonEntropyBits(counts) / std::log2(n) : 1.0;
 
-    sample_.clearValues();
-    sample_.source = sources_[queue];
-    sample_.epoch = epoch;
-    sample_.start = epoch * width;
-    sample_.end = sample_.start + width;
-    sample_.set(keyRecycles_, n);
-    sample_.set(keyPages_, static_cast<double>(qs.pageCounts.size()));
-    sample_.set(keyReuseMean_, qs.reuseCount > 0
+    RxQueueSample s;
+    s.epoch = epoch;
+    s.start = epoch * width_;
+    s.end = s.start + width_;
+    s.queue = queue;
+    s.recycles = qs.recycles;
+    s.pages = qs.pageCounts.size();
+    s.reuseMean = qs.reuseCount > 0
         ? static_cast<double>(qs.reuseSum) /
             static_cast<double>(qs.reuseCount)
-        : 0.0);
-    sample_.set(keyEntropy_, norm);
-    bus_.publish(sample_);
+        : 0.0;
+    s.entropy = qs.recycles >= 2
+        ? shannonEntropyBits(counts) /
+            std::log2(static_cast<double>(qs.recycles))
+        : 1.0;
+    sink_.publish(s);
 
     qs.recycles = 0;
     qs.reuseSum = 0;
@@ -261,10 +186,10 @@ RxCounterProbe::onRecycle(std::size_t queue, std::size_t slot,
             publishEpoch(queue, qs.epoch);
         qs.epoch = target;
     }
-    if (target > aggEpoch_) {
-        if (aggTotal_ > 0)
-            publishAggregate(aggEpoch_);
-        aggEpoch_ = target;
+    if (target > agg_.epoch) {
+        if (agg_.total > 0)
+            publishAggregate(agg_.epoch);
+        agg_.epoch = target;
     }
 
     ++qs.recycleOrdinal;
@@ -278,8 +203,8 @@ RxCounterProbe::onRecycle(std::size_t queue, std::size_t slot,
     }
     ++qs.recycles;
     ++qs.pageCounts[page];
-    ++aggCounts_[queue];
-    ++aggTotal_;
+    ++agg_.perQueue[queue];
+    ++agg_.total;
 }
 
 void
@@ -293,9 +218,9 @@ RxCounterProbe::flush(Cycles now)
             qs.epoch = target;
         }
     }
-    if (aggTotal_ > 0) {
-        publishAggregate(aggEpoch_);
-        aggEpoch_ = target;
+    if (agg_.total > 0) {
+        publishAggregate(agg_.epoch);
+        agg_.epoch = target;
     }
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Counter probes: the glue between the hardware emitters' telemetry
- * hooks (cache::LlcTelemetry, nic::RxTelemetry) and sim::CounterBus.
+ * hooks (cache::LlcTelemetry, nic::RxTelemetry) and a SampleSink.
  *
- * Each probe accumulates event counts and publishes one CounterSample
- * per completed epoch. Epochs roll lazily, driven by the timestamps
+ * Each probe accumulates event counts and publishes one sample per
+ * completed epoch. Epochs roll lazily, driven by the timestamps
  * of the events themselves (there is no timer agent in the model), so
  * a probe can only notice an epoch boundary when the next event
  * arrives; the final partial epoch of a run is published by flush().
@@ -25,23 +25,14 @@
 #include <vector>
 
 #include "cache/telemetry.hh"
+#include "detect/sample.hh"
 #include "nic/telemetry.hh"
-#include "sim/counter_bus.hh"
 #include "sim/types.hh"
 
 namespace pktchase::detect
 {
 
-/**
- * LLC counter probe. Publishes one "llc" sample per epoch with:
- *
- *   cpu_accesses, cpu_misses, miss_rate   CPU-side reference/miss pair
- *   ddio_fills                            DDIO allocations (injections)
- *   ddio_cpu_displaced                    ... that displaced a CPU line
- *   io_conflicts                          I/O lines displaced by CPU
- *                                         fills (priming signature)
- *   g<k>.misses, g<k>.fills               the same, per slice group
- */
+/** LLC counter probe: one LlcSample per epoch. */
 class LlcCounterProbe : public cache::LlcTelemetry
 {
   public:
@@ -49,10 +40,12 @@ class LlcCounterProbe : public cache::LlcTelemetry
     static constexpr std::uint64_t kMaxCatchUp = 256;
 
     /**
-     * @param bus    Destination bus (also defines the epoch width).
-     * @param groups Slice-group count (the LLC geometry's slices).
+     * @param sink         Where the samples go.
+     * @param epoch_cycles Epoch width in cycles (nonzero).
+     * @param groups       Slice-group count (the LLC geometry's slices).
      */
-    LlcCounterProbe(sim::CounterBus &bus, unsigned groups);
+    LlcCounterProbe(SampleSink &sink, Cycles epoch_cycles,
+                    unsigned groups);
 
     void cpuAccess(unsigned group, bool hit, Cycles now) override;
     void ioInjection(unsigned group, bool displaced_cpu_line,
@@ -63,27 +56,6 @@ class LlcCounterProbe : public cache::LlcTelemetry
     void flush(Cycles now);
 
   private:
-    struct Acc
-    {
-        std::uint64_t cpuAccesses = 0;
-        std::uint64_t cpuMisses = 0;
-        std::uint64_t ddioFills = 0;
-        std::uint64_t ddioCpuDisplaced = 0;
-        std::uint64_t ioConflicts = 0;
-        std::vector<std::uint64_t> groupMisses;
-        std::vector<std::uint64_t> groupFills;
-        bool any = false;
-    };
-
-    /** Interned names of every key this probe emits. */
-    struct Keys
-    {
-        sim::CounterKey cpuAccesses, cpuMisses, missRate;
-        sim::CounterKey ddioFills, ddioCpuDisplaced, ioConflicts;
-        /** Per slice group: (.misses, .fills). */
-        std::vector<std::pair<sim::CounterKey, sim::CounterKey>> group;
-    };
-
     /**
      * Publish completed epochs up to the one containing @p now. The
      * common case -- @p now still inside the current epoch -- is a
@@ -102,36 +74,20 @@ class LlcCounterProbe : public cache::LlcTelemetry
     void publishEpoch(std::uint64_t epoch);
     void reset();
 
-    sim::CounterBus &bus_;
+    SampleSink &sink_;
+    Cycles width_;
     unsigned groups_;
     std::uint64_t epoch_ = 0;
     Cycles epochEnd_ = 0;  ///< First cycle past the current epoch.
-    Acc acc_;
-    Keys keys_;
-    sim::CounterSample sample_;     ///< Reused across publishes.
-    sim::CounterSample zeroSample_; ///< Prebuilt for empty epochs.
+    LlcSample acc_;        ///< The current epoch's counts.
+    bool any_ = false;     ///< Whether the current epoch saw an event.
 };
 
 /**
- * Per-receive-queue recycle probe. Publishes one "rxq<k>" sample per
- * epoch in which queue k recycled at least one buffer:
- *
- *   recycles       buffers recycled this epoch
- *   pages          distinct backing pages among them
- *   reuse_mean     mean recycle distance (recycles since the same
- *                  page last backed a fill on this queue; first
- *                  sightings excluded)
- *   entropy        Shannon entropy (bits) of the epoch's page
- *                  histogram, normalized by log2(recycles) to [0, 1]
- *                  (1 when recycles < 2)
- *
- * plus one "rxagg" sample per non-empty epoch with the cross-queue
- * recycle distribution:
- *
- *   total          recycles across every queue this epoch
- *   q<k>           queue k's share of them (a count)
- *   entropy        Shannon entropy of the distribution, normalized
- *                  by log2(queues) to [0, 1] (1 when queues == 1)
+ * Per-receive-queue recycle probe. Publishes one RxQueueSample per
+ * queue and epoch in which that queue recycled at least one buffer,
+ * plus one RxAggSample (the cross-queue recycle distribution) per
+ * non-empty epoch.
  *
  * The per-queue page-histogram entropy characterizes the *defense*
  * (a randomizing policy raises it; the bare ring pins it at the ring
@@ -144,10 +100,12 @@ class RxCounterProbe : public nic::RxTelemetry
 {
   public:
     /**
-     * @param bus    Destination bus (also defines the epoch width).
-     * @param queues Receive-queue count of the instrumented driver.
+     * @param sink         Where the samples go.
+     * @param epoch_cycles Epoch width in cycles (nonzero).
+     * @param queues       Receive-queue count of the instrumented driver.
      */
-    RxCounterProbe(sim::CounterBus &bus, std::size_t queues);
+    RxCounterProbe(SampleSink &sink, Cycles epoch_cycles,
+                   std::size_t queues);
 
     void onRecycle(std::size_t queue, std::size_t slot, Addr page,
                    Cycles now) override;
@@ -182,34 +140,23 @@ class RxCounterProbe : public nic::RxTelemetry
     epochOf(Cycles now)
     {
         if (now < curStart_ || now >= curEnd_) {
-            const Cycles width = bus_.epochCycles();
-            curTarget_ = now / width;
-            curStart_ = curTarget_ * width;
-            curEnd_ = curStart_ + width;
+            curTarget_ = now / width_;
+            curStart_ = curTarget_ * width_;
+            curEnd_ = curStart_ + width_;
         }
         return curTarget_;
     }
 
-    sim::CounterBus &bus_;
+    SampleSink &sink_;
+    Cycles width_;
     std::vector<QueueState> queues_;
-    std::vector<std::string> sources_;  ///< "rxq<k>" per queue.
-
-    // Interned per-queue sample keys, aggregate keys, and q<k> keys.
-    sim::CounterKey keyRecycles_, keyPages_, keyReuseMean_, keyEntropy_;
-    sim::CounterKey keyTotal_;
-    std::vector<sim::CounterKey> qKeys_;
-
-    sim::CounterSample sample_;  ///< Reused across publishes.
 
     // Cached epoch window for epochOf().
     std::uint64_t curTarget_ = 0;
     Cycles curStart_ = 0;
     Cycles curEnd_ = 0;
 
-    // Cross-queue aggregate epoch state.
-    std::uint64_t aggEpoch_ = 0;
-    std::vector<std::uint64_t> aggCounts_;
-    std::uint64_t aggTotal_ = 0;
+    RxAggSample agg_; ///< The current aggregate epoch's counts.
 };
 
 } // namespace pktchase::detect

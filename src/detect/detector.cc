@@ -3,126 +3,34 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-#if defined(__SSE2__) && defined(__GNUC__)
-// Baseline builds target generic x86-64, but the autocorrelation
-// kernel below is worth a runtime-dispatched AVX2 variant; immintrin
-// intrinsics are usable inside target("avx2") functions without
-// -mavx2 on the command line.
-#define PKTCHASE_AVX2_DISPATCH 1
-#include <immintrin.h>
-#endif
-
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace pktchase::detect
 {
 
-namespace
-{
-
-#if defined(PKTCHASE_AVX2_DISPATCH)
-
-/**
- * Shared-prefix accumulators for eight adjacent lags: out[k] receives
- * sum over t < shared of dev[t] * dev[t + lag + k], accumulated in
- * ascending-t order. Lane k of each 256-bit accumulator performs
- * exactly the scalar chain of lag + k -- vmulpd/vaddpd round each
- * lane independently with scalar IEEE semantics, and explicit mul/add
- * intrinsics are never contracted to FMA -- so the result is
- * bit-identical to the SSE2 and scalar variants in evaluate().
- */
-__attribute__((target("avx2"))) void
-lag8SharedAvx2(const double *dev, unsigned shared, unsigned lag,
-               double out[8])
-{
-    __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-    for (unsigned t = 0; t < shared; ++t) {
-        const __m256d d4 = _mm256_set1_pd(dev[t]);
-        lo = _mm256_add_pd(
-            lo, _mm256_mul_pd(d4, _mm256_loadu_pd(dev + t + lag)));
-        hi = _mm256_add_pd(
-            hi, _mm256_mul_pd(d4, _mm256_loadu_pd(dev + t + lag + 4)));
-    }
-    _mm256_storeu_pd(out, lo);
-    _mm256_storeu_pd(out + 4, hi);
-}
-
-bool
-haveAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2");
-    return have;
-}
-
-#endif // PKTCHASE_AVX2_DISPATCH
-
-/**
- * Baseline-ISA variant of the same eight-lag shared-prefix kernel.
- * On SSE2 two adjacent lags share one vector register: lane k of a
- * packed accumulator performs exactly the scalar chain of lag + k
- * (mulpd/addpd round each lane independently with the same IEEE
- * semantics as mulsd/addsd, and the baseline target has no FMA, so no
- * contraction can change a rounding), which halves the instruction
- * stream without touching any sum.
- */
-void
-lag8Shared(const double *dev, unsigned shared, unsigned lag,
-           double out[8])
-{
-#if defined(__SSE2__)
-    __m128d v01 = _mm_setzero_pd(), v23 = _mm_setzero_pd();
-    __m128d v45 = _mm_setzero_pd(), v67 = _mm_setzero_pd();
-    for (unsigned t = 0; t < shared; ++t) {
-        const __m128d d2 = _mm_set1_pd(dev[t]);
-        v01 = _mm_add_pd(
-            v01, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag)));
-        v23 = _mm_add_pd(
-            v23, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag + 2)));
-        v45 = _mm_add_pd(
-            v45, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag + 4)));
-        v67 = _mm_add_pd(
-            v67, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag + 6)));
-    }
-    _mm_storeu_pd(out, v01);
-    _mm_storeu_pd(out + 2, v23);
-    _mm_storeu_pd(out + 4, v45);
-    _mm_storeu_pd(out + 6, v67);
-#else
-    double a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-    double a4 = 0, a5 = 0, a6 = 0, a7 = 0;
-    for (unsigned t = 0; t < shared; ++t) {
-        const double d = dev[t];
-        a0 += d * dev[t + lag];
-        a1 += d * dev[t + lag + 1];
-        a2 += d * dev[t + lag + 2];
-        a3 += d * dev[t + lag + 3];
-        a4 += d * dev[t + lag + 4];
-        a5 += d * dev[t + lag + 5];
-        a6 += d * dev[t + lag + 6];
-        a7 += d * dev[t + lag + 7];
-    }
-    out[0] = a0; out[1] = a1; out[2] = a2; out[3] = a3;
-    out[4] = a4; out[5] = a5; out[6] = a6; out[7] = a7;
-#endif
-}
-
-} // namespace
-
 // ------------------------------------------------------------ Detector --
 
 const Score *
-Detector::onSample(const sim::CounterSample &s)
+Detector::onSample(const LlcSample &s)
 {
     double score = 0.0;
-    if (!evaluate(s, score))
-        return nullptr;
+    return scoreLlc(s, score) ? record(s, score) : nullptr;
+}
+
+const Score *
+Detector::onSample(const RxAggSample &s)
+{
+    double score = 0.0;
+    return scoreAgg(s, score) ? record(s, score) : nullptr;
+}
+
+const Score *
+Detector::record(const Epoch &e, double score)
+{
     Score sc;
-    sc.epoch = s.epoch;
-    sc.when = s.end;
+    sc.epoch = e.epoch;
+    sc.when = e.end;
     sc.score = score;
     sc.alarm = score > threshold_;
     if (sc.alarm)
@@ -131,33 +39,20 @@ Detector::onSample(const sim::CounterSample &s)
     return &scores_.back();
 }
 
-std::vector<Cycles>
-Detector::alarmTimes() const
-{
-    std::vector<Cycles> out;
-    for (const Score &sc : scores_)
-        if (sc.alarm)
-            out.push_back(sc.when);
-    return out;
-}
-
 // -------------------------------------------------------- MissRateSpike --
 
 MissRateSpike::MissRateSpike(const DetectorConfig &cfg)
     : Detector(cfg.threshold > 0.0 ? cfg.threshold : kDefaultThreshold),
-      window_(cfg.window), short_(cfg.shortWindow),
-      keyCpuMisses_(sim::CounterKey::intern("cpu_misses"))
+      window_(cfg.window), short_(cfg.shortWindow)
 {
     if (window_ < 2 || short_ < 1)
         fatal("MissRateSpike: window must be >= 2 and shortWindow >= 1");
 }
 
 bool
-MissRateSpike::evaluate(const sim::CounterSample &s, double &score)
+MissRateSpike::scoreLlc(const LlcSample &s, double &score)
 {
-    if (s.source != "llc")
-        return false;
-    const double x = s.value(keyCpuMisses_);
+    const double x = static_cast<double>(s.cpuMisses);
     score = 0.0;
 
     if (!frozen_) {
@@ -203,31 +98,9 @@ ReuseEntropyDrop::ReuseEntropyDrop(const DetectorConfig &cfg)
 }
 
 bool
-ReuseEntropyDrop::evaluate(const sim::CounterSample &s, double &score)
+ReuseEntropyDrop::scoreAgg(const RxAggSample &s, double &score)
 {
-    if (s.source != "rxagg")
-        return false;
-
-    // Collect the per-queue counts q0, q1, ... by interned key; the
-    // probe emits them for every queue, so the first missing index
-    // ends the scan. The key table grows on demand because the queue
-    // count is only discoverable from the samples themselves.
-    std::vector<double> counts;
-    for (std::size_t q = 0;; ++q) {
-        if (q >= qKeys_.size())
-            qKeys_.push_back(
-                sim::CounterKey::intern("q" + std::to_string(q)));
-        bool found = false;
-        for (const auto &kv : s.values) {
-            if (kv.first == qKeys_[q]) {
-                counts.push_back(kv.second);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            break;
-    }
+    std::vector<double> counts(s.perQueue.begin(), s.perQueue.end());
     score = 0.0;
 
     if (!frozen_) {
@@ -275,7 +148,6 @@ ProbeCadence::ProbeCadence(const DetectorConfig &cfg)
       window_(cfg.window), minLag_(cfg.minLag),
       maxLag_(cfg.maxLag > 0 ? cfg.maxLag : cfg.window / 2),
       minEvents_(cfg.minEvents),
-      keyIoConflicts_(sim::CounterKey::intern("io_conflicts")),
       ring_(cfg.window, 0.0), scratch_(cfg.window, 0.0)
 {
     if (window_ < 8)
@@ -285,12 +157,9 @@ ProbeCadence::ProbeCadence(const DetectorConfig &cfg)
 }
 
 bool
-ProbeCadence::evaluate(const sim::CounterSample &s, double &score)
+ProbeCadence::scoreLlc(const LlcSample &s, double &score)
 {
-    if (s.source != "llc")
-        return false;
-
-    const double x = s.value(keyIoConflicts_);
+    const double x = static_cast<double>(s.ioConflicts);
     runningTotal_ += x;
     if (filled_ == window_)
         runningTotal_ -= ring_[head_];
@@ -346,10 +215,8 @@ ProbeCadence::evaluate(const sim::CounterSample &s, double &score)
     // hiding that latency. Each chain still receives its products in
     // ascending-t order (a shared prefix up to the shortest chain's
     // length, then per-lag tails), so every per-lag sum -- and
-    // therefore every score -- is bit-identical to the serial loop.
-    // The shared prefix runs through lag8Shared (SSE2 or scalar) or,
-    // when the host supports it, the runtime-dispatched AVX2 variant;
-    // all three are bit-identical by construction (see the helpers).
+    // therefore every score -- is bit-identical to the serial loop
+    // that finishes the remaining lags.
     const double *dev = scratch_.data();
     double best = 0.0;
     unsigned best_lag = 0;
@@ -363,74 +230,27 @@ ProbeCadence::evaluate(const sim::CounterSample &s, double &score)
     unsigned lag = minLag_;
     for (; lag + 7 <= maxLag_; lag += 8) {
         const unsigned shared = window_ - (lag + 7); // shortest chain
-        double acc[8];
-#if defined(PKTCHASE_AVX2_DISPATCH)
-        if (haveAvx2())
-            lag8SharedAvx2(dev, shared, lag, acc);
-        else
-#endif
-            lag8Shared(dev, shared, lag, acc);
-        double a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
-        double a4 = acc[4], a5 = acc[5], a6 = acc[6], a7 = acc[7];
-        for (unsigned t = shared; t + lag < window_; ++t)
-            a0 += dev[t] * dev[t + lag];
-        for (unsigned t = shared; t + lag + 1 < window_; ++t)
-            a1 += dev[t] * dev[t + lag + 1];
-        for (unsigned t = shared; t + lag + 2 < window_; ++t)
-            a2 += dev[t] * dev[t + lag + 2];
-        for (unsigned t = shared; t + lag + 3 < window_; ++t)
-            a3 += dev[t] * dev[t + lag + 3];
-        for (unsigned t = shared; t + lag + 4 < window_; ++t)
-            a4 += dev[t] * dev[t + lag + 4];
-        for (unsigned t = shared; t + lag + 5 < window_; ++t)
-            a5 += dev[t] * dev[t + lag + 5];
-        for (unsigned t = shared; t + lag + 6 < window_; ++t)
-            a6 += dev[t] * dev[t + lag + 6];
-        consider(a0, lag);
-        consider(a1, lag + 1);
-        consider(a2, lag + 2);
-        consider(a3, lag + 3);
-        consider(a4, lag + 4);
-        consider(a5, lag + 5);
-        consider(a6, lag + 6);
-        consider(a7, lag + 7);
-    }
-    for (; lag + 3 <= maxLag_; lag += 4) {
-        const unsigned shared = window_ - (lag + 3);
-        double a0, a1, a2, a3;
-#if defined(__SSE2__)
-        __m128d v01 = _mm_setzero_pd(), v23 = _mm_setzero_pd();
-        for (unsigned t = 0; t < shared; ++t) {
-            const __m128d d2 = _mm_set1_pd(dev[t]);
-            v01 = _mm_add_pd(
-                v01, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag)));
-            v23 = _mm_add_pd(
-                v23, _mm_mul_pd(d2, _mm_loadu_pd(dev + t + lag + 2)));
-        }
-        a0 = _mm_cvtsd_f64(v01);
-        a1 = _mm_cvtsd_f64(_mm_unpackhi_pd(v01, v01));
-        a2 = _mm_cvtsd_f64(v23);
-        a3 = _mm_cvtsd_f64(_mm_unpackhi_pd(v23, v23));
-#else
-        a0 = a1 = a2 = a3 = 0.0;
+        double a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+        double a4 = 0, a5 = 0, a6 = 0, a7 = 0;
         for (unsigned t = 0; t < shared; ++t) {
             const double d = dev[t];
-            a0 += d * dev[t + lag];
-            a1 += d * dev[t + lag + 1];
-            a2 += d * dev[t + lag + 2];
-            a3 += d * dev[t + lag + 3];
+            const double *row = dev + t + lag;
+            a0 += d * row[0];
+            a1 += d * row[1];
+            a2 += d * row[2];
+            a3 += d * row[3];
+            a4 += d * row[4];
+            a5 += d * row[5];
+            a6 += d * row[6];
+            a7 += d * row[7];
         }
-#endif
-        for (unsigned t = shared; t + lag < window_; ++t)
-            a0 += dev[t] * dev[t + lag];
-        for (unsigned t = shared; t + lag + 1 < window_; ++t)
-            a1 += dev[t] * dev[t + lag + 1];
-        for (unsigned t = shared; t + lag + 2 < window_; ++t)
-            a2 += dev[t] * dev[t + lag + 2];
-        consider(a0, lag);
-        consider(a1, lag + 1);
-        consider(a2, lag + 2);
-        consider(a3, lag + 3);
+        double acc[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
+        // Lag + k has 7 - k products past the shared prefix.
+        for (unsigned k = 0; k < 7; ++k)
+            for (unsigned t = shared; t + lag + k < window_; ++t)
+                acc[k] += dev[t] * dev[t + lag + k];
+        for (unsigned k = 0; k < 8; ++k)
+            consider(acc[k], lag + k);
     }
     for (; lag <= maxLag_; ++lag) {
         double acc = 0.0;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Online packet-chasing detectors over the counter-telemetry bus.
+ * Online packet-chasing detectors over the counter telemetry.
  *
- * A Detector consumes CounterSamples and produces a time-stamped
+ * A Detector consumes telemetry samples and produces a time-stamped
  * score stream plus a thresholded alarm stream (Score::alarm). All
  * three built-ins are windowed estimators with no global state, so a
  * campaign cell owning its own detector instances inherits the
@@ -21,7 +21,7 @@
  *    the spy's added misses in benign variance.)
  *
  *  - ReuseEntropyDrop ("entropy-drop"): drop of the cross-queue
- *    recycle entropy (the "rxagg" telemetry) below a baseline
+ *    recycle entropy (the RxAggSample stream) below a baseline
  *    calibrated over the first `window` samples and then frozen
  *    (same deploy-time-calibration model as miss-spike). Both spans
  *    sum per-epoch queue counts before taking the entropy, so sparse
@@ -55,7 +55,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/counter_bus.hh"
+#include "detect/sample.hh"
 #include "sim/types.hh"
 
 namespace pktchase::detect
@@ -100,17 +100,15 @@ class Detector
     virtual std::string name() const = 0;
 
     /**
-     * Consume one bus sample. @return the Score it produced (owned by
-     * the detector, valid until the next onSample), or nullptr when
-     * the sample is not of this detector's source kind.
+     * Consume one sample. @return the Score it produced (owned by the
+     * detector, valid until the next onSample), or nullptr when the
+     * detector does not read this source.
      */
-    const Score *onSample(const sim::CounterSample &s);
+    const Score *onSample(const LlcSample &s);
+    const Score *onSample(const RxAggSample &s);
 
     /** The full time-stamped score stream, in consumption order. */
     const std::vector<Score> &scores() const { return scores_; }
-
-    /** Epoch-end timestamps of the alarmed scores, in order. */
-    std::vector<Cycles> alarmTimes() const;
 
     /** Number of alarmed scores so far. */
     std::uint64_t alarmCount() const { return alarms_; }
@@ -121,13 +119,15 @@ class Detector
     explicit Detector(double threshold) : threshold_(threshold) {}
 
     /**
-     * Type hook: score @p s into @p score, or return false when the
-     * sample is not consumed by this detector.
+     * Per-source hooks: score @p s into @p score, or return false when
+     * this detector does not read the source (the default).
      */
-    virtual bool evaluate(const sim::CounterSample &s,
-                          double &score) = 0;
+    virtual bool scoreLlc(const LlcSample &, double &) { return false; }
+    virtual bool scoreAgg(const RxAggSample &, double &) { return false; }
 
   private:
+    const Score *record(const Epoch &e, double score);
+
     double threshold_;
     std::vector<Score> scores_;
     std::uint64_t alarms_ = 0;
@@ -145,12 +145,11 @@ class MissRateSpike : public Detector
     std::string name() const override { return "miss-spike"; }
 
   protected:
-    bool evaluate(const sim::CounterSample &s, double &score) override;
+    bool scoreLlc(const LlcSample &s, double &score) override;
 
   private:
     unsigned window_;
     unsigned short_;
-    sim::CounterKey keyCpuMisses_; ///< Resolved once at construction.
     std::vector<double> calib_;  ///< Calibration span, until frozen.
     bool frozen_ = false;
     double mean_ = 0.0;          ///< Frozen baseline mean.
@@ -172,7 +171,7 @@ class ReuseEntropyDrop : public Detector
     std::string name() const override { return "entropy-drop"; }
 
   protected:
-    bool evaluate(const sim::CounterSample &s, double &score) override;
+    bool scoreAgg(const RxAggSample &s, double &score) override;
 
   private:
     unsigned window_;
@@ -182,8 +181,6 @@ class ReuseEntropyDrop : public Detector
     bool frozen_ = false;
     double baseEntropy_ = 1.0;        ///< Frozen baseline entropy.
     std::deque<std::vector<double>> recent_; ///< Last entropyShort.
-    /** Interned "q<k>" keys, grown on demand as queues appear. */
-    std::vector<sim::CounterKey> qKeys_;
 };
 
 /** Autocorrelation peak of per-epoch eviction-set-conflict counts. */
@@ -201,14 +198,13 @@ class ProbeCadence : public Detector
     unsigned bestLag() const { return bestLag_; }
 
   protected:
-    bool evaluate(const sim::CounterSample &s, double &score) override;
+    bool scoreLlc(const LlcSample &s, double &score) override;
 
   private:
     unsigned window_;
     unsigned minLag_;
     unsigned maxLag_;
     double minEvents_;
-    sim::CounterKey keyIoConflicts_; ///< Resolved at construction.
 
     // The window lives in a flat ring buffer (head_ = next write slot
     // = oldest element once full) and each evaluation linearizes it
@@ -221,7 +217,7 @@ class ProbeCadence : public Detector
     std::size_t filled_ = 0;
     std::vector<double> scratch_;
     /**
-     * Window total maintained incrementally. io_conflicts values are
+     * Window total maintained incrementally. ioConflicts values are
      * integral counts, so every partial sum is exact in a double and
      * this equals the linearized left-to-right total bit-for-bit --
      * safe to use for the minEvents early-out without touching the

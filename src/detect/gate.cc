@@ -16,18 +16,8 @@ GateController::GateController(std::unique_ptr<Detector> detector,
 }
 
 void
-GateController::connect(sim::CounterBus &bus)
+GateController::update(const Score *sc)
 {
-    if (connected_)
-        fatal("GateController::connect called twice");
-    connected_ = true;
-    bus.subscribe([this](const sim::CounterSample &s) { onSample(s); });
-}
-
-void
-GateController::onSample(const sim::CounterSample &s)
-{
-    const Score *sc = detector_->onSample(s);
     if (!sc)
         return;
     if (armed_)

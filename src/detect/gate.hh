@@ -2,7 +2,7 @@
  * @file
  * Alarm-driven arming gate for the detector-gated defenses.
  *
- * A GateController owns one Detector, feeds it every bus sample, and
+ * A GateController owns one Detector, feeds it every sample, and
  * maintains a single armed/disarmed bit with hysteresis: any alarmed
  * score arms immediately; disarming requires disarmEpochs consecutive
  * alarm-free scores, so a spy cannot flap the defense off between its
@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "detect/detector.hh"
-#include "sim/counter_bus.hh"
 
 namespace pktchase::detect
 {
@@ -44,8 +43,9 @@ class GateController
     GateController(std::unique_ptr<Detector> detector,
                    const GateConfig &cfg = {});
 
-    /** Subscribe to @p bus; call exactly once. */
-    void connect(sim::CounterBus &bus);
+    /** Score one sample with the detector and update the armed bit. */
+    void onSample(const LlcSample &s) { update(detector_->onSample(s)); }
+    void onSample(const RxAggSample &s) { update(detector_->onSample(s)); }
 
     /** Whether the gated defense is currently armed. */
     bool armed() const { return armed_; }
@@ -67,11 +67,10 @@ class GateController
     const GateConfig &config() const { return cfg_; }
 
   private:
-    void onSample(const sim::CounterSample &s);
+    void update(const Score *sc);
 
     std::unique_ptr<Detector> detector_;
     GateConfig cfg_;
-    bool connected_ = false;
     bool armed_ = false;
     unsigned quiet_ = 0; ///< Consecutive alarm-free scores while armed.
     std::uint64_t armTransitions_ = 0;

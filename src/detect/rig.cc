@@ -1,28 +1,38 @@
 #include "rig.hh"
 
+#include "obs/stats.hh"
+#include "obs/trace.hh"
 #include "sim/logging.hh"
 
 namespace pktchase::detect
 {
 
+namespace
+{
+
+/** One span per published sample, registered on first use. */
+const obs::ProfilePhase &
+epochPhase()
+{
+    static const obs::ProfilePhase phase{"detect.epoch", "detect"};
+    return phase;
+}
+
+} // namespace
+
 DetectionRig::DetectionRig(cache::Hierarchy &hier,
                            nic::IgbDriver &driver, const RigConfig &cfg)
-    : hier_(hier), driver_(driver), cfg_(cfg), bus_(cfg.epochCycles),
-      llcProbe_(bus_, hier.llc().geometry().slices),
-      rxProbe_(bus_, driver.numQueues())
+    : hier_(hier), driver_(driver),
+      llcProbe_(*this, cfg.epochCycles, hier.llc().geometry().slices),
+      rxProbe_(*this, cfg.epochCycles, driver.numQueues())
 {
-    for (const std::string &name : cfg_.detectors) {
-        auto det = makeDetector(name, cfg_.detector);
-        Detector *raw = det.get();
-        bus_.subscribe([raw](const sim::CounterSample &s) {
-            raw->onSample(s);
-        });
-        detectors_.push_back(std::move(det));
-    }
-    if (!cfg_.gateDetector.empty()) {
+    if (cfg.epochCycles == 0)
+        fatal("DetectionRig: epoch width must be nonzero");
+    for (const std::string &name : cfg.detectors)
+        detectors_.push_back(makeDetector(name, cfg.detector));
+    if (!cfg.gateDetector.empty()) {
         gate_ = std::make_unique<GateController>(
-            makeDetector(cfg_.gateDetector, cfg_.detector), cfg_.gate);
-        gate_->connect(bus_);
+            makeDetector(cfg.gateDetector, cfg.detector), cfg.gate);
     }
 
     // Refuse to steal another rig's probes: overwriting them would
@@ -42,6 +52,39 @@ DetectionRig::~DetectionRig()
     driver_.attachTelemetry(nullptr);
 }
 
+template <typename Sample>
+void
+DetectionRig::fanOut(const Sample &s)
+{
+    const obs::ScopedSpan span(epochPhase());
+    obs::bump(obs::Stat::DetectorEpochs);
+    ++published_;
+    for (auto &det : detectors_)
+        det->onSample(s);
+    if (gate_)
+        gate_->onSample(s);
+}
+
+void
+DetectionRig::publish(const LlcSample &s)
+{
+    fanOut(s);
+}
+
+void
+DetectionRig::publish(const RxQueueSample &)
+{
+    const obs::ScopedSpan span(epochPhase());
+    obs::bump(obs::Stat::DetectorEpochs);
+    ++published_;
+}
+
+void
+DetectionRig::publish(const RxAggSample &s)
+{
+    fanOut(s);
+}
+
 Detector &
 DetectionRig::detector(const std::string &name)
 {
@@ -49,13 +92,6 @@ DetectionRig::detector(const std::string &name)
         if (det->name() == name)
             return *det;
     fatal("DetectionRig: no hosted detector named \"" + name + "\"");
-}
-
-void
-DetectionRig::flush(Cycles now)
-{
-    llcProbe_.flush(now);
-    rxProbe_.flush(now);
 }
 
 } // namespace pktchase::detect

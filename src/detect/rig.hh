@@ -3,12 +3,14 @@
  * The detection rig: one assembled telemetry + detection stack over a
  * (hierarchy, driver) pair.
  *
- * Construction wires everything: a CounterBus at the configured epoch
- * width, an LlcCounterProbe attached to the LLC, an RxCounterProbe
- * attached to the driver, one hosted Detector per requested name
- * (score-only consumers -- the figD1 ROC cells read their streams),
+ * Construction wires everything: an LlcCounterProbe attached to the
+ * LLC and an RxCounterProbe attached to the driver, both sampling at
+ * the configured epoch width; one hosted Detector per requested name
+ * (score-only consumers -- the figD1 ROC cells read their streams);
  * and optionally one GateController (for detector-gated defenses).
- * Destruction detaches the probes, restoring the zero-cost off-path.
+ * The rig is the probes' sample sink: it hands every sample to the
+ * hosted detectors in RigConfig order, then to the gate. Destruction
+ * detaches the probes, restoring the zero-cost off-path.
  *
  * A rig is testbed-local: campaign cells each own a private rig, so
  * the detection layer inherits the runtime's determinism contract.
@@ -26,7 +28,6 @@
 #include "detect/detector.hh"
 #include "detect/gate.hh"
 #include "nic/igb_driver.hh"
-#include "sim/counter_bus.hh"
 
 namespace pktchase::detect
 {
@@ -34,7 +35,7 @@ namespace pktchase::detect
 /** What to assemble. */
 struct RigConfig
 {
-    Cycles epochCycles = sim::kDefaultEpochCycles;
+    Cycles epochCycles = kDefaultEpochCycles;
 
     /** Hosted score-only detectors, by name. */
     std::vector<std::string> detectors;
@@ -47,9 +48,9 @@ struct RigConfig
 };
 
 /**
- * Owns the bus, the probes, the hosted detectors, and the gate.
+ * Owns the probes, the hosted detectors, and the gate.
  */
-class DetectionRig
+class DetectionRig final : public SampleSink
 {
   public:
     DetectionRig(cache::Hierarchy &hier, nic::IgbDriver &driver,
@@ -59,31 +60,32 @@ class DetectionRig
     DetectionRig(const DetectionRig &) = delete;
     DetectionRig &operator=(const DetectionRig &) = delete;
 
-    sim::CounterBus &bus() { return bus_; }
+    /**
+     * Fan one sample out: the hosted detectors, then the gate. Each
+     * published sample, whatever its source, is one `detect.epoch`
+     * profile span and one obs::Stat::DetectorEpochs bump. No detector
+     * reads the per-queue stream; it is counted all the same.
+     */
+    void publish(const LlcSample &s) override;
+    void publish(const RxQueueSample &s) override;
+    void publish(const RxAggSample &s) override;
+
+    /** Samples published so far, every source included. */
+    std::uint64_t published() const { return published_; }
 
     /** Hosted detector named @p name; fatal when absent. */
     Detector &detector(const std::string &name);
-
-    /** All hosted detectors, in RigConfig order. */
-    const std::vector<std::unique_ptr<Detector>> &detectors() const
-    {
-        return detectors_;
-    }
 
     /** The gate, or nullptr when RigConfig::gateDetector was empty. */
     GateController *gate() { return gate_.get(); }
     const GateController *gate() const { return gate_.get(); }
 
-    /** Publish both probes' partial epochs (end of a run). */
-    void flush(Cycles now);
-
-    const RigConfig &config() const { return cfg_; }
-
   private:
+    template <typename Sample> void fanOut(const Sample &s);
+
     cache::Hierarchy &hier_;
     nic::IgbDriver &driver_;
-    RigConfig cfg_;
-    sim::CounterBus bus_;
+    std::uint64_t published_ = 0;
     LlcCounterProbe llcProbe_;
     RxCounterProbe rxProbe_;
     std::vector<std::unique_ptr<Detector>> detectors_;

@@ -7,12 +7,12 @@
  * The trace layer answers "what happened when" by shipping every span
  * to a multi-MB Chrome trace; this layer answers "where does the wall
  * clock go" *in-process*: each profiled span site registers a
- * ProfilePhase once (interning its name into a small integer id, the
- * same trick as sim::CounterKey), and closing a span adds its duration
- * into the calling thread's fixed slot for that id -- count, total and
- * self wall-time, min/max, and a log2-bucketed latency histogram. No
- * string keys, no allocation, no lock on the hot path: a slot update
- * is a handful of thread-local integer adds.
+ * ProfilePhase once (interning its name into a small integer id), and
+ * closing a span adds its duration into the calling thread's fixed
+ * slot for that id -- count, total and self wall-time, min/max, and a
+ * log2-bucketed latency histogram. No string keys, no allocation, no
+ * lock on the hot path: a slot update is a handful of thread-local
+ * integer adds.
  *
  * Self-time uses a per-thread stack of open profiled spans: a closing
  * span charges its duration to the parent frame's child accumulator,

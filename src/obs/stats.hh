@@ -4,8 +4,8 @@
  * simulator's inner loops bump unconditionally.
  *
  * This is the *simulator's own* performance telemetry -- events popped
- * per wall-second, frames delivered, LLC walks -- as opposed to
- * sim::CounterBus, which models the *simulated machine's* PMU.
+ * per wall-second, frames delivered, LLC walks -- as opposed to the
+ * detect/ counter probes, which model the *simulated machine's* PMU.
  *
  * Design constraints:
  *
@@ -56,7 +56,7 @@ enum class Stat : unsigned
      * is not counted.
      */
     PolicyHooks,
-    DetectorEpochs,  ///< CounterBus samples published.
+    DetectorEpochs,  ///< Telemetry samples a DetectionRig published.
 };
 
 /** Number of Stat enumerators. */

@@ -3,8 +3,6 @@
 namespace pktchase
 {
 
-int logVerbosity = 1;
-
 void
 panic(const std::string &msg)
 {
@@ -36,13 +34,6 @@ void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    if (logVerbosity > 0)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace pktchase

@@ -4,7 +4,7 @@
  *
  * panic() is for internal invariant violations (simulator bugs); fatal()
  * is for user/configuration errors that make continuing impossible;
- * warn()/inform() report conditions without stopping the simulation.
+ * warn() reports a condition without stopping the simulation.
  */
 
 #ifndef PKTCHASE_SIM_LOGGING_HH
@@ -16,9 +16,6 @@
 
 namespace pktchase
 {
-
-/** Verbosity threshold for inform(); 0 silences informational output. */
-extern int logVerbosity;
 
 /**
  * Report an unrecoverable internal error and abort.
@@ -34,9 +31,6 @@ extern int logVerbosity;
 
 /** Report a suspicious but survivable condition. */
 void warn(const std::string &msg);
-
-/** Report normal operating status (suppressed when logVerbosity == 0). */
-void inform(const std::string &msg);
 
 } // namespace pktchase
 

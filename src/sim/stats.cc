@@ -201,29 +201,6 @@ maxCrossCorrelation(const std::vector<double> &x,
     return best;
 }
 
-Histogram::Histogram(std::size_t bins)
-    : counts_(bins, 0)
-{
-    if (bins == 0)
-        panic("Histogram requires at least one bin");
-}
-
-void
-Histogram::add(std::size_t value)
-{
-    const std::size_t bin = std::min(value, counts_.size() - 1);
-    ++counts_[bin];
-    ++total_;
-}
-
-std::uint64_t
-Histogram::count(std::size_t bin) const
-{
-    if (bin >= counts_.size())
-        panic("Histogram::count bin out of range");
-    return counts_[bin];
-}
-
 double
 shannonEntropyBits(const std::vector<double> &counts)
 {

@@ -148,33 +148,6 @@ double maxCrossCorrelation(const std::vector<double> &x,
 /** Pearson correlation of two equal-length series (0 if degenerate). */
 double pearson(const std::vector<double> &x, const std::vector<double> &y);
 
-/**
- * Fixed-width histogram helper used by the mapping-distribution
- * experiments (Figs. 5 and 6).
- */
-class Histogram
-{
-  public:
-    /** Construct with @p bins buckets covering integer values [0, bins). */
-    explicit Histogram(std::size_t bins);
-
-    /** Count one observation of @p value; values >= bins clamp to last. */
-    void add(std::size_t value);
-
-    /** Number of observations in bucket @p bin. */
-    std::uint64_t count(std::size_t bin) const;
-
-    /** Total number of observations. */
-    std::uint64_t total() const { return total_; }
-
-    /** Number of buckets. */
-    std::size_t bins() const { return counts_.size(); }
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
-
 } // namespace pktchase
 
 #endif // PKTCHASE_SIM_STATS_HH

@@ -81,21 +81,6 @@ fig20Config(std::uint64_t seed)
     return cfg;
 }
 
-fingerprint::FingerprintResult
-fig20Cell(const defense::Cell &cell, std::uint64_t seed)
-{
-    // The attack testbed, not makeDefenseConfig(): the spy needs its
-    // eviction-set pool and the real timing-noise model.
-    testbed::TestbedConfig tcfg;
-    tcfg.ringDefense = cell.ring;
-    tcfg.cacheDefense = cell.cache;
-    tcfg.nicSpec = cell.nic;
-    testbed::Testbed tb(tcfg);
-    const fingerprint::WebsiteDb db = fig20Db();
-    fingerprint::FingerprintAttack atk(tb, db, fig20Config(seed));
-    return atk.evaluate();
-}
-
 std::vector<runtime::Scenario>
 fig11CovertGrid(std::size_t symbols)
 {

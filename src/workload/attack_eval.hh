@@ -62,15 +62,6 @@ fingerprint::FingerprintConfig fig20Config(std::uint64_t seed);
 fingerprint::WebsiteDb fig20Database();
 
 /**
- * Run one fig20 cell: assemble the cell's testbed, train on tcpdump
- * truth, classify live captures. @p seed is the visit/jitter stream
- * (the grid shares one across cells so defenses are compared under
- * identical page loads).
- */
-fingerprint::FingerprintResult fig20Cell(const defense::Cell &cell,
-                                         std::uint64_t seed);
-
-/**
  * fig11 grid: {binary, ternary} x {7, 14, 28} kHz probe rate, under
  * background cache noise. Metrics per cell: bandwidth_bps,
  * error_rate, received, probe_rounds.

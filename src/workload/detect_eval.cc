@@ -27,7 +27,7 @@ constexpr Cycles kDetectHorizon = secondsToCycles(0.04);
  * because the grid's epoch arithmetic (warmup spans, the onset
  * epoch) must use the same width the rigs sample at.
  */
-constexpr Cycles kDetectEpochCycles = sim::kDefaultEpochCycles;
+constexpr Cycles kDetectEpochCycles = detect::kDefaultEpochCycles;
 
 /**
  * When the attacker switches on. The first half of the run is benign
@@ -225,7 +225,7 @@ runDetectionAttack(const std::string &detector, double probe_rate_hz,
 
     DetectionTrace t;
     t.scores = rig.detector(detector).scores();
-    t.samples = rig.bus().published();
+    t.samples = rig.published();
     return t;
 }
 
@@ -244,7 +244,7 @@ runDetectionBenign(const std::string &detector, std::size_t queues,
 
     DetectionTrace t;
     t.scores = rig.detector(detector).scores();
-    t.samples = rig.bus().published();
+    t.samples = rig.published();
     return t;
 }
 
@@ -334,7 +334,7 @@ figD1DetectionGrid()
 
                 DetectionTrace t;
                 t.scores = rig.detector(det).scores();
-                t.samples = rig.bus().published();
+                t.samples = rig.published();
                 runtime::ScenarioResult r;
                 r.set("fpr", alarmRate(t, kDetectWarmupEpochs));
                 const auto vals = scoreValues(t, kDetectWarmupEpochs);

@@ -69,7 +69,7 @@ constexpr std::uint64_t kDetectWarmupEpochs = 160;
 struct DetectionTrace
 {
     std::vector<detect::Score> scores; ///< Full stream, warmup included.
-    std::uint64_t samples = 0;         ///< Bus samples published.
+    std::uint64_t samples = 0;         ///< Samples the rig published.
 };
 
 /**

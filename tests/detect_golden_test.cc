@@ -4,7 +4,7 @@
  * figD1 cadence attack cell's score stream and alarm timestamps,
  * captured from the implementation this PR introduced. The pinned
  * facts cover the whole stack end to end -- LLC/NIC telemetry hooks,
- * epoch rolling and zero-fill, bus fan-out, and the cadence
+ * epoch rolling and zero-fill, the rig's fan-out, and the cadence
  * detector's autocorrelation -- so any change that perturbs a single
  * counter delta, epoch boundary, or floating-point operation in the
  * scoring path fails loudly here.

@@ -6,7 +6,7 @@
  * stack and running live traffic plus a probing attacker, executed
  * on 4 worker threads, must be race-free and merge bit-identically
  * to the single-threaded run. This is the detection layer's
- * determinism contract: rigs, buses, detectors, and gates are all
+ * determinism contract: rigs, probes, detectors, and gates are all
  * testbed-local, so nothing leaks across campaign workers.
  */
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the detection subsystem: the counter bus and epoch
- * rolling, the three detectors' score/alarm semantics on synthetic
- * counter streams, gate hysteresis, the gated-policy spec grammar,
- * and the end-to-end wiring (a gated testbed arms and pays only while
- * armed; telemetry attach/detach is zero-cost when absent).
+ * Unit tests for the detection subsystem: epoch rolling in the
+ * counter probes, the three detectors' score/alarm semantics on
+ * synthetic counter streams, gate hysteresis, the rig's fan-out, the
+ * gated-policy spec grammar, and the end-to-end wiring (a gated
+ * testbed arms and pays only while armed; telemetry attach/detach is
+ * zero-cost when absent).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include "detect/gate.hh"
 #include "detect/rig.hh"
 #include "net/traffic.hh"
+#include "obs/stats.hh"
 #include "testbed/testbed.hh"
+#include "workload/detect_eval.hh"
 
 using namespace pktchase;
 using namespace pktchase::detect;
@@ -26,131 +29,95 @@ using namespace pktchase::detect;
 namespace
 {
 
-/** Synthetic "llc" sample at @p epoch with the given counters. */
-sim::CounterSample
-llcSample(std::uint64_t epoch, double misses, double conflicts,
-          Cycles width = sim::kDefaultEpochCycles)
+/** Synthetic LLC sample at @p epoch with the given counters. */
+LlcSample
+llcSample(std::uint64_t epoch, std::uint64_t misses,
+          std::uint64_t conflicts, Cycles width = kDefaultEpochCycles)
 {
-    sim::CounterSample s;
-    s.source = "llc";
+    LlcSample s;
     s.epoch = epoch;
     s.start = epoch * width;
     s.end = s.start + width;
-    s.set("cpu_accesses", misses * 2);
-    s.set("cpu_misses", misses);
-    s.set("miss_rate", 0.5);
-    s.set("ddio_fills", 0.0);
-    s.set("io_conflicts", conflicts);
+    s.cpuAccesses = misses * 2;
+    s.cpuMisses = misses;
+    s.ioConflicts = conflicts;
     return s;
 }
 
-/** Synthetic "rxagg" sample with the given per-queue counts. */
-sim::CounterSample
-aggSample(std::uint64_t epoch, const std::vector<double> &counts)
+/** Synthetic aggregate sample with the given per-queue counts. */
+RxAggSample
+aggSample(std::uint64_t epoch, const std::vector<std::uint64_t> &counts)
 {
-    sim::CounterSample s;
-    s.source = "rxagg";
+    RxAggSample s;
     s.epoch = epoch;
-    s.end = (epoch + 1) * sim::kDefaultEpochCycles;
-    double total = 0.0;
-    for (double c : counts)
-        total += c;
-    s.set("total", total);
-    for (std::size_t q = 0; q < counts.size(); ++q)
-        s.set("q" + std::to_string(q), counts[q]);
+    s.end = (epoch + 1) * kDefaultEpochCycles;
+    for (std::uint64_t c : counts)
+        s.total += c;
+    s.perQueue = counts;
     return s;
 }
+
+/** Records every published sample, per source. */
+struct Recorder : SampleSink
+{
+    std::vector<LlcSample> llc;
+    std::vector<RxQueueSample> rxq;
+    std::vector<RxAggSample> agg;
+
+    void publish(const LlcSample &s) override { llc.push_back(s); }
+    void publish(const RxQueueSample &s) override { rxq.push_back(s); }
+    void publish(const RxAggSample &s) override { agg.push_back(s); }
+};
 
 } // namespace
 
-// -------------------------------------------------------- counter bus --
-
-TEST(CounterBus, FansOutInSubscriptionOrder)
-{
-    sim::CounterBus bus(1000);
-    EXPECT_FALSE(bus.hasSubscribers());
-    std::vector<int> order;
-    bus.subscribe([&order](const sim::CounterSample &) {
-        order.push_back(1);
-    });
-    bus.subscribe([&order](const sim::CounterSample &) {
-        order.push_back(2);
-    });
-    EXPECT_TRUE(bus.hasSubscribers());
-    bus.publish(llcSample(0, 1, 0));
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(bus.published(), 1u);
-}
-
-TEST(CounterSampleDeath, DuplicateKeyIsFatal)
-{
-    // A sample is one epoch's snapshot: setting the same key twice
-    // means two subsystems disagree about who owns it (or a reused
-    // sample was not cleared), and a silent overwrite would let the
-    // detectors score the wrong value. fatal() exits with code 1.
-    sim::CounterSample s;
-    s.source = "llc";
-    s.set("cpu_misses", 3.0);
-    EXPECT_EXIT(s.set("cpu_misses", 4.0),
-                ::testing::ExitedWithCode(1), "duplicate key");
-
-    // Interned and string-spelled sets collide on the same key too:
-    // interning is a lookup, not a namespace.
-    const sim::CounterKey key = sim::CounterKey::intern("cpu_misses");
-    EXPECT_EXIT(s.set(key, 5.0),
-                ::testing::ExitedWithCode(1), "duplicate key");
-}
+// ------------------------------------------------------------- probes --
 
 TEST(LlcCounterProbe, RollsEpochsAndZeroFillsGaps)
 {
-    sim::CounterBus bus(1000);
-    std::vector<sim::CounterSample> samples;
-    bus.subscribe([&samples](const sim::CounterSample &s) {
-        samples.push_back(s);
-    });
-    LlcCounterProbe probe(bus, 2);
+    Recorder rec;
+    LlcCounterProbe probe(rec, 1000, 2);
 
     probe.cpuAccess(0, false, 100);   // epoch 0
     probe.cpuAccess(1, true, 500);    // epoch 0
     probe.ioInjection(0, true, 3500); // epoch 3: publishes 0,1,2
+    const std::vector<LlcSample> &samples = rec.llc;
     ASSERT_EQ(samples.size(), 3u);
     EXPECT_EQ(samples[0].epoch, 0u);
-    EXPECT_EQ(samples[0].value("cpu_accesses"), 2.0);
-    EXPECT_EQ(samples[0].value("cpu_misses"), 1.0);
-    EXPECT_EQ(samples[0].value("g0.misses"), 1.0);
-    EXPECT_EQ(samples[1].value("cpu_accesses"), 0.0); // zero-filled
-    EXPECT_EQ(samples[2].value("cpu_accesses"), 0.0);
+    EXPECT_EQ(samples[0].cpuAccesses, 2u);
+    EXPECT_EQ(samples[0].cpuMisses, 1u);
+    EXPECT_EQ(samples[0].missRate(), 0.5);
+    EXPECT_EQ(samples[0].groupMisses, (std::vector<std::uint64_t>{1, 0}));
+    EXPECT_EQ(samples[1].cpuAccesses, 0u); // zero-filled
+    EXPECT_EQ(samples[1].missRate(), 0.0);
+    EXPECT_EQ(samples[2].cpuAccesses, 0u);
+    EXPECT_EQ(samples[2].groupMisses, (std::vector<std::uint64_t>{0, 0}));
 
     probe.flush(3500);
     ASSERT_EQ(samples.size(), 4u);
     EXPECT_EQ(samples[3].epoch, 3u);
-    EXPECT_EQ(samples[3].value("ddio_fills"), 1.0);
-    EXPECT_EQ(samples[3].value("ddio_cpu_displaced"), 1.0);
+    EXPECT_EQ(samples[3].start, 3000u);
+    EXPECT_EQ(samples[3].end, 4000u);
+    EXPECT_EQ(samples[3].ddioFills, 1u);
+    EXPECT_EQ(samples[3].ddioCpuDisplaced, 1u);
+    EXPECT_EQ(samples[3].groupFills, (std::vector<std::uint64_t>{1, 0}));
 }
 
 TEST(LlcCounterProbe, LongIdleGapCatchUpIsBounded)
 {
-    sim::CounterBus bus(1000);
-    std::uint64_t published = 0;
-    bus.subscribe([&published](const sim::CounterSample &) {
-        ++published;
-    });
-    LlcCounterProbe probe(bus, 1);
+    Recorder rec;
+    LlcCounterProbe probe(rec, 1000, 1);
     probe.cpuAccess(0, false, 100);
     // A gap of a million epochs publishes at most the catch-up bound
     // plus the pending epoch, not a million zero samples.
     probe.cpuAccess(0, false, Cycles(1000) * 1000 * 1000);
-    EXPECT_LE(published, LlcCounterProbe::kMaxCatchUp + 1);
+    EXPECT_LE(rec.llc.size(), LlcCounterProbe::kMaxCatchUp + 1);
 }
 
 TEST(RxCounterProbe, ReuseDistanceAndAggregate)
 {
-    sim::CounterBus bus(1000);
-    std::vector<sim::CounterSample> samples;
-    bus.subscribe([&samples](const sim::CounterSample &s) {
-        samples.push_back(s);
-    });
-    RxCounterProbe probe(bus, 2);
+    Recorder rec;
+    RxCounterProbe probe(rec, 1000, 2);
 
     // Queue 0 cycles two pages; queue 1 sees one recycle.
     probe.onRecycle(0, 0, 0x1000, 10);
@@ -159,23 +126,23 @@ TEST(RxCounterProbe, ReuseDistanceAndAggregate)
     probe.onRecycle(1, 0, 0x9000, 40);
     probe.flush(2000);
 
-    const sim::CounterSample *q0 = nullptr, *agg = nullptr;
-    for (const auto &s : samples) {
-        if (s.source == "rxq0")
-            q0 = &s;
-        if (s.source == "rxagg")
-            agg = &s;
-    }
-    ASSERT_NE(q0, nullptr);
-    EXPECT_EQ(q0->value("recycles"), 3.0);
-    EXPECT_EQ(q0->value("pages"), 2.0);
-    EXPECT_EQ(q0->value("reuse_mean"), 2.0);
-    ASSERT_NE(agg, nullptr);
-    EXPECT_EQ(agg->value("total"), 4.0);
-    EXPECT_EQ(agg->value("q0"), 3.0);
-    EXPECT_EQ(agg->value("q1"), 1.0);
+    ASSERT_EQ(rec.rxq.size(), 2u);
+    const RxQueueSample &q0 = rec.rxq[0];
+    EXPECT_EQ(q0.queue, 0u);
+    EXPECT_EQ(q0.recycles, 3u);
+    EXPECT_EQ(q0.pages, 2u);
+    EXPECT_EQ(q0.reuseMean, 2.0);
+    // Two recycles of 0x1000 and one of 0x2000: H = 0.918 bits, over
+    // log2(3) bits.
+    EXPECT_NEAR(q0.entropy, 0.5793802, 1e-6);
+    EXPECT_EQ(rec.rxq[1].queue, 1u);
+    EXPECT_EQ(rec.rxq[1].entropy, 1.0); // a single recycle
+    ASSERT_EQ(rec.agg.size(), 1u);
+    const RxAggSample &agg = rec.agg[0];
+    EXPECT_EQ(agg.total, 4u);
+    EXPECT_EQ(agg.perQueue, (std::vector<std::uint64_t>{3, 1}));
     // 3:1 split over two queues: H = 0.811 bits / 1 bit.
-    EXPECT_NEAR(agg->value("entropy"), 0.8112781, 1e-6);
+    EXPECT_NEAR(agg.entropy, 0.8112781, 1e-6);
 }
 
 // ---------------------------------------------------------- detectors --
@@ -205,7 +172,7 @@ TEST(MissRateSpikeDetector, CalibratesThenScoresSpikes)
     EXPECT_TRUE(spike->alarm);
     EXPECT_GE(det.alarmCount(), 1u);
 
-    // Non-llc samples are not consumed.
+    // Aggregate samples are not consumed.
     EXPECT_EQ(det.onSample(aggSample(e, {1, 1})), nullptr);
 }
 
@@ -231,15 +198,16 @@ TEST(ProbeCadenceDetector, PeriodicConflictsAlarmAperiodicDoNot)
     const Score *b = nullptr;
     for (std::uint64_t e = 0; e < 128; ++e) {
         x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-        b = benign.onSample(llcSample(e, 5, double(x % 4)));
+        b = benign.onSample(llcSample(e, 5, x % 4));
     }
     EXPECT_FALSE(b->alarm);
 
-    // A silent counter can never alarm, autocorrelated or not.
+    // A near-silent counter can never alarm, autocorrelated or not:
+    // one conflict every 32 epochs keeps the window under minEvents.
     ProbeCadence silent(cfg);
     const Score *s = nullptr;
     for (std::uint64_t e = 0; e < 128; ++e)
-        s = silent.onSample(llcSample(e, 5, e % 8 == 0 ? 0.05 : 0));
+        s = silent.onSample(llcSample(e, 5, e % 32 == 0 ? 1 : 0));
     EXPECT_FALSE(s->alarm);
 }
 
@@ -296,26 +264,100 @@ TEST(Gate, ArmsImmediatelyDisarmsWithHysteresis)
     GateConfig gcfg;
     gcfg.disarmEpochs = 4;
     GateController gate(std::make_unique<MissRateSpike>(dcfg), gcfg);
-    sim::CounterBus bus(1000);
-    gate.connect(bus);
 
     std::uint64_t e = 0;
     for (; e < 8; ++e)
-        bus.publish(llcSample(e, 10, 0));
+        gate.onSample(llcSample(e, 10, 0));
     EXPECT_FALSE(gate.armed());
 
-    bus.publish(llcSample(e++, 900, 0));
+    gate.onSample(llcSample(e++, 900, 0));
     EXPECT_TRUE(gate.armed());
     EXPECT_EQ(gate.armTransitions(), 1u);
 
     // Three quiet epochs: still armed (hysteresis)...
     for (unsigned i = 0; i < 3; ++i)
-        bus.publish(llcSample(e++, 10, 0));
+        gate.onSample(llcSample(e++, 10, 0));
     EXPECT_TRUE(gate.armed());
     // ...the fourth disarms.
-    bus.publish(llcSample(e++, 10, 0));
+    gate.onSample(llcSample(e++, 10, 0));
     EXPECT_FALSE(gate.armed());
     EXPECT_GT(gate.armedEpochs(), 0u);
+
+    // A source the detector does not read leaves the gate alone.
+    gate.onSample(aggSample(e, {1, 1}));
+    EXPECT_EQ(gate.detector().scores().size(), 13u);
+}
+
+// ---------------------------------------------------------------- rig --
+
+namespace
+{
+
+/** The figD1 benign mix into @p tb until @p horizon. */
+void
+runBenignTraffic(testbed::Testbed &tb, Cycles horizon)
+{
+    net::TrafficPump pump(tb.eq(), tb.driver(), workload::benignMix(7),
+                          1000);
+    tb.eq().runUntil(horizon);
+}
+
+} // namespace
+
+TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
+{
+    testbed::TestbedConfig cfg = testbed::TestbedConfig::reduced();
+    cfg.nicSpec = defense::nicSpecOf(4);
+    constexpr Cycles kHorizon = 400 * kDefaultEpochCycles;
+
+    // Reference: the same run with bare probes publishing into a
+    // recorder (the simulation is deterministic).
+    Recorder rec;
+    {
+        testbed::Testbed tb(cfg);
+        LlcCounterProbe llc(rec, kDefaultEpochCycles,
+                            tb.hier().llc().geometry().slices);
+        RxCounterProbe rx(rec, kDefaultEpochCycles,
+                          tb.driver().numQueues());
+        tb.hier().llc().attachTelemetry(&llc);
+        tb.driver().attachTelemetry(&rx);
+        runBenignTraffic(tb, kHorizon);
+        tb.hier().llc().attachTelemetry(nullptr);
+        tb.driver().attachTelemetry(nullptr);
+    }
+    ASSERT_FALSE(rec.llc.empty());
+    ASSERT_FALSE(rec.rxq.empty());
+    ASSERT_FALSE(rec.agg.empty());
+
+    testbed::Testbed tb(cfg);
+    RigConfig rc;
+    rc.detectors = {"miss-spike", "entropy-drop", "cadence"};
+    rc.gateDetector = "cadence";
+    const obs::StatSnapshot before = obs::snapshot();
+    DetectionRig &rig = tb.attachDetection(rc);
+    runBenignTraffic(tb, kHorizon);
+    const obs::StatSnapshot spent = obs::snapshot() - before;
+
+    // Every source counts, the per-queue stream included.
+    EXPECT_EQ(rig.published(),
+              rec.llc.size() + rec.rxq.size() + rec.agg.size());
+    EXPECT_EQ(spent.get(obs::Stat::DetectorEpochs), rig.published());
+
+    // Each hosted detector (and the gate's) scores every sample of
+    // its source, in publish order.
+    const auto expectScoresEach = [](const Detector &det,
+                                     const auto &samples) {
+        ASSERT_EQ(det.scores().size(), samples.size()) << det.name();
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            EXPECT_EQ(det.scores()[i].epoch, samples[i].epoch);
+            EXPECT_EQ(det.scores()[i].when, samples[i].end);
+        }
+    };
+    expectScoresEach(rig.detector("miss-spike"), rec.llc);
+    expectScoresEach(rig.detector("entropy-drop"), rec.agg);
+    expectScoresEach(rig.detector("cadence"), rec.llc);
+    ASSERT_NE(rig.gate(), nullptr);
+    expectScoresEach(rig.gate()->detector(), rec.llc);
 }
 
 // ---------------------------------------------------- gated ring spec --

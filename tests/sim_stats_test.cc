@@ -214,23 +214,3 @@ TEST(MaxCrossCorrelation, FindsShiftedMatch)
               maxCrossCorrelation(x, y, 0));
     EXPECT_NEAR(maxCrossCorrelation(x, x, 0), 1.0, 1e-12);
 }
-
-TEST(Histogram, CountsAndClamping)
-{
-    Histogram h(4);
-    h.add(0);
-    h.add(1);
-    h.add(1);
-    h.add(99); // clamps to last bin
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(1), 2u);
-    EXPECT_EQ(h.count(2), 0u);
-    EXPECT_EQ(h.count(3), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramDeath, OutOfRangeBin)
-{
-    Histogram h(2);
-    EXPECT_DEATH(h.count(2), "range");
-}
