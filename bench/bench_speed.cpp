@@ -222,11 +222,11 @@ main(int argc, char **argv)
 {
     // bench_speed [--reps=N] [--profile] [cell-name-substring]
     //
-    // The benign cells finish in single-digit milliseconds since the
-    // hot paths were batched, so one-shot rates see double-digit host
-    // noise; the default 5 repetitions keep the gate meaningful. A
-    // filter restricts the sweep (profiling one cell) and suppresses
-    // the JSON so a partial run can never masquerade as a baseline.
+    // The benign cells finish in single-digit milliseconds, so
+    // one-shot rates see double-digit host noise; the default 5
+    // repetitions keep the gate meaningful. A filter restricts the
+    // sweep (profiling one cell) and suppresses the JSON so a partial
+    // run can never masquerade as a baseline.
     unsigned reps = 5;
     std::string filter;
     bool profileMode = false;

@@ -53,9 +53,8 @@ class GatedPolicy : public nic::BufferPolicy
     /**
      * Deliberately the conservative all-false default: the armed bit
      * flips mid-run (telemetry published during descriptor processing
-     * can arm the gate between two frames of a batch), so the driver
-     * must dispatch every hook regardless of the inner policy's own
-     * traits.
+     * can arm the gate between two frames), so the driver must
+     * dispatch every hook regardless of the inner policy's own traits.
      */
     nic::BufferPolicy::HookTraits
     hookTraits() const override

@@ -217,13 +217,14 @@ TrafficPump::TrafficPump(EventQueue &eq, nic::IgbDriver &driver,
     scheduleNext(start);
 }
 
-bool
-TrafficPump::pullNext(Cycles earliest)
+void
+TrafficPump::scheduleNext(Cycles earliest)
 {
-    nic::Frame frame;
     Cycles gap = 0;
-    if (!source_->next(frame, gap))
-        return false;
+    if (!source_->next(nextFrame_, gap)) {
+        exhausted_ = true;
+        return;
+    }
 
     double when = static_cast<double>(earliest) + static_cast<double>(gap);
     if (jitterSigma_ > 0.0)
@@ -234,57 +235,21 @@ TrafficPump::pullNext(Cycles earliest)
     Cycles arrival = static_cast<Cycles>(std::max(when, 0.0));
     arrival = std::max(arrival, wireFreeAt_);
     arrival = std::max(arrival, eq_.now());
-    wireFreeAt_ = arrival + wireCycles(frame);
+    wireFreeAt_ = arrival + wireCycles(nextFrame_);
 
-    nextFrame_ = frame;
-    nextArrival_ = arrival;
-    return true;
+    eq_.schedule(arrival, [this] { deliver(); });
 }
 
 void
-TrafficPump::scheduleNext(Cycles earliest)
+TrafficPump::deliver()
 {
-    if (!pullNext(earliest)) {
-        exhausted_ = true;
-        return;
-    }
-    eq_.schedule(nextArrival_, [this] { deliverBatch(); });
-}
-
-void
-TrafficPump::deliverBatch()
-{
-    // The event runs at nextFrame_'s arrival cycle: eq_.now() ==
-    // nextArrival_.
-    batchFrames_.clear();
-    batchWhen_.clear();
-    batchFrames_.push_back(nextFrame_);
-    batchWhen_.push_back(nextArrival_);
-
-    // Fold subsequent arrivals into this event while no other pending
-    // event (and no runUntil horizon) falls at or before them. A
-    // refused advance leaves the frame pulled, to be scheduled as its
-    // own event below -- exactly the unbatched behaviour. Observers
-    // must see the driver between frames, so they disable batching.
-    const bool batching = maxBatch_ > 1 && !observer_;
-    bool more = pullNext(eq_.now());
-    while (more && batching && batchFrames_.size() < maxBatch_
-           && eq_.tryAdvanceWithin(nextArrival_)) {
-        batchFrames_.push_back(nextFrame_);
-        batchWhen_.push_back(nextArrival_);
-        more = pullNext(eq_.now());
-    }
-
-    driver_.receiveBatch(batchFrames_.data(), batchWhen_.data(),
-                         batchFrames_.size());
-    delivered_ += batchFrames_.size();
+    // The event runs at nextFrame_'s arrival cycle.
+    const Cycles now = eq_.now();
+    driver_.receive(nextFrame_, now);
+    ++delivered_;
     if (observer_)
-        observer_(batchFrames_[0], batchWhen_[0]);
-
-    if (more)
-        eq_.schedule(nextArrival_, [this] { deliverBatch(); });
-    else
-        exhausted_ = true;
+        observer_(nextFrame_, now);
+    scheduleNext(now);
 }
 
 } // namespace pktchase::net

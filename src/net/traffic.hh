@@ -195,22 +195,13 @@ class ReplayStream : public TrafficSource
 /**
  * Drives a TrafficSource into an IgbDriver via the event queue,
  * enforcing line-rate serialization and applying arrival jitter.
- *
- * Delivery is batched: one scheduled event delivers a run of frames
- * through IgbDriver::receiveBatch, advancing the simulated clock to
- * each frame's arrival via EventQueue::tryAdvanceWithin. The batch
- * extends only while no other event and no runUntil() horizon falls
- * at or before the next arrival, so arrival cycles, interleaving with
- * other activities, and obs counter totals are identical to per-frame
- * delivery (setMaxBatch(1) forces the per-frame path; the equivalence
- * is pinned by tests/nic_batch_test.cc).
+ * Every frame is its own event at its arrival cycle, and that event
+ * calls IgbDriver::receive(): the driver fills and recycles its
+ * descriptors one frame at a time, in ring order (Sec. III-A).
  */
 class TrafficPump
 {
   public:
-    /** Default cap on frames folded into one delivery event. */
-    static constexpr std::size_t kDefaultMaxBatch = 4096;
-
     /**
      * @param eq          Event queue shared by the experiment.
      * @param driver      Receive path.
@@ -230,26 +221,14 @@ class TrafficPump
     bool exhausted() const { return exhausted_; }
 
     /**
-     * Observe every delivery (frame, arrival cycle). Used by harnesses
-     * that need ground-truth arrival times for scoring. An installed
-     * observer disables batching (each delivery stays its own event),
-     * so observers see the driver's state exactly between frames.
+     * Observe every delivery (frame, arrival cycle), right after the
+     * driver received the frame. Used by harnesses that need
+     * ground-truth arrival times for scoring.
      */
     void
     setObserver(std::function<void(const nic::Frame &, Cycles)> obs)
     {
         observer_ = std::move(obs);
-    }
-
-    /**
-     * Cap the frames folded into one delivery event; 1 forces the
-     * legacy one-event-per-frame path (used by the batching
-     * equivalence tests).
-     */
-    void
-    setMaxBatch(std::size_t max_batch)
-    {
-        maxBatch_ = max_batch == 0 ? 1 : max_batch;
     }
 
   private:
@@ -262,20 +241,13 @@ class TrafficPump
     std::uint64_t delivered_ = 0;
     bool exhausted_ = false;
     std::function<void(const nic::Frame &, Cycles)> observer_;
-    std::size_t maxBatch_ = kDefaultMaxBatch;
     nic::Frame nextFrame_;       ///< Pulled but not yet delivered.
-    Cycles nextArrival_ = 0;     ///< Arrival cycle of nextFrame_.
-    std::vector<nic::Frame> batchFrames_; ///< Reused delivery arena.
-    std::vector<Cycles> batchWhen_;
 
-    /** Pull the next frame into nextFrame_/nextArrival_. */
-    bool pullNext(Cycles earliest);
-
-    /** Pull and schedule the next delivery event. */
+    /** Pull the next frame and schedule its delivery event. */
     void scheduleNext(Cycles earliest);
 
-    /** Delivery event body: deliver nextFrame_ plus a batched run. */
-    void deliverBatch();
+    /** Delivery event body: receive nextFrame_, then schedule the next. */
+    void deliver();
 };
 
 } // namespace pktchase::net

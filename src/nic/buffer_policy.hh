@@ -12,9 +12,7 @@
  *                     before the first packet;
  *  - onPacket(q, n)   at the top of receive(), before the NIC DMA,
  *                     where n is the number of frames this queue has
- *                     received so far (0 for the first packet); the
- *                     batched receive path calls it once per frame
- *                     too, in arrival order;
+ *                     received so far (0 for the first packet);
  *  - onRecycle(q, i)  after the driver finished processing the
  *                     queue's descriptor i (copy-break reuse or page
  *                     flip already applied), when the buffer is
@@ -55,12 +53,12 @@ class BufferPolicy
 {
   public:
     /**
-     * Static dispatch hints for the batched receive path. The driver
-     * caches these per queue when the policy is installed, so they
-     * must describe the *instance for its whole lifetime* — a policy
-     * whose hook behaviour can change mid-run (e.g. a detector-gated
-     * wrapper arming) must report the conservative (all-false)
-     * default.
+     * Static dispatch hints for the receive path: the driver skips the
+     * dispatch of a hook marked a no-op. It caches these per queue
+     * when the policy is installed, so they must describe the
+     * *instance for its whole lifetime* — a policy whose hook
+     * behaviour can change mid-run (e.g. a detector-gated wrapper
+     * arming) must report the conservative (all-false) default.
      */
     struct HookTraits
     {

@@ -156,59 +156,37 @@ IgbDriver::~IgbDriver()
 std::size_t
 IgbDriver::receive(const Frame &frame, Cycles now)
 {
-    return receiveBatch(&frame, &now, 1);
-}
-
-std::size_t
-IgbDriver::receiveBatch(const Frame *frames, const Cycles *when,
-                        std::size_t count)
-{
-    if (count == 0)
-        fatal("IgbDriver::receiveBatch: empty batch");
-
     static const obs::ProfilePhase kDeliverPhase{"nic.deliver", "nic"};
     const obs::ScopedSpan span(kDeliverPhase);
-    obs::bump(obs::Stat::FramesDelivered, count);
+    obs::bump(obs::Stat::FramesDelivered);
 
-    const bool ddio = hier_.ddioEnabled();
-    std::size_t last = 0;
+    if (frame.bytes < minFrameBytes || frame.bytes > maxFrameBytes)
+        fatal("IgbDriver::receive: frame size outside 802.3 limits");
 
-    for (std::size_t i = 0; i < count; ++i) {
-        const Frame &frame = frames[i];
-        const Cycles now = when[i];
-        if (frame.bytes < minFrameBytes || frame.bytes > maxFrameBytes)
-            fatal("IgbDriver::receive: frame size outside 802.3 limits");
-        if (i > 0 && now < when[i - 1]) {
-            panic("IgbDriver::receiveBatch: arrivals out of order "
-                  "within a batch");
-        }
-
-        RxQueue &q = *queues_[rss_.queueFor(frame.flow)];
-        // The no-defense fast path skips a no-op hook's dispatch.
-        if (!q.traits_.packetNoop) {
-            obs::bump(obs::Stat::PolicyHooks);
-            q.policy_->onPacket(q, q.stats_.framesReceived);
-        }
-
-        const std::size_t index = q.ring_.head();
-
-        // NIC DMA: with DDIO the blocks land in the LLC; without, they
-        // go to memory and the driver's reads below demand-fetch them.
-        hier_.dmaWrite(q.ring_.desc(index).bufferAddr(), frame.bytes,
-                       now);
-        q.ring_.advance();
-
-        // Without DDIO the driver sees the frame only after the I/O
-        // write has reached memory and the interrupt fired.
-        const Cycles seen = ddio ? now : now + cfg_.ioToDriverLatency;
-        processRx(q, index, frame, seen);
-
-        ++q.stats_.framesReceived;
-        if (q.tap_)
-            q.tap_(index, frame, now);
-        last = globalIndex(q.index_, index);
+    RxQueue &q = *queues_[rss_.queueFor(frame.flow)];
+    // The no-defense fast path skips a no-op hook's dispatch.
+    if (!q.traits_.packetNoop) {
+        obs::bump(obs::Stat::PolicyHooks);
+        q.policy_->onPacket(q, q.stats_.framesReceived);
     }
-    return last;
+
+    const std::size_t index = q.ring_.head();
+
+    // NIC DMA: with DDIO the blocks land in the LLC; without, they go
+    // to memory and the driver's reads below demand-fetch them.
+    hier_.dmaWrite(q.ring_.desc(index).bufferAddr(), frame.bytes, now);
+    q.ring_.advance();
+
+    // Without DDIO the driver sees the frame only after the I/O write
+    // has reached memory and the interrupt fired.
+    const Cycles seen = hier_.ddioEnabled()
+        ? now : now + cfg_.ioToDriverLatency;
+    processRx(q, index, frame, seen);
+
+    ++q.stats_.framesReceived;
+    if (q.tap_)
+        q.tap_(index, frame, now);
+    return globalIndex(q.index_, index);
 }
 
 void

@@ -114,9 +114,6 @@ class RxQueue
     /** The queue's software ring defense. */
     const BufferPolicy &policy() const { return *policy_; }
 
-    /** The policy's dispatch hints, cached when it was installed. */
-    const BufferPolicy::HookTraits &hookTraits() const { return traits_; }
-
     /** The owning driver's configuration. */
     const IgbConfig &config() const;
 
@@ -239,21 +236,6 @@ class IgbDriver
      *         single-queue configurations).
      */
     std::size_t receive(const Frame &frame, Cycles now);
-
-    /**
-     * Batched receive: process @p count frames with nondecreasing
-     * arrival cycles in one call, equivalent frame for frame to
-     * calling receive() on each. The batch hoists the per-frame
-     * tracing span and counter bump, and skips hook dispatch for
-     * policies whose cached HookTraits mark the hook a no-op (the
-     * devirtualized no-defense fast path). Policy hooks, descriptor
-     * processing, statistics, and delivery taps still run once per
-     * frame, in arrival order.
-     *
-     * @return Global index of the descriptor the last frame filled.
-     */
-    std::size_t receiveBatch(const Frame *frames, const Cycles *when,
-                             std::size_t count);
 
     /** Number of receive queues. */
     std::size_t numQueues() const { return queues_.size(); }

@@ -40,12 +40,7 @@ namespace pktchase::obs
 /** The closed set of hot-path counters. */
 enum class Stat : unsigned
 {
-    /**
-     * Logical events executed: EventQueue callbacks popped plus
-     * events a handler folded into itself via tryAdvanceWithin(), so
-     * totals are identical whether hot loops batch or reschedule.
-     */
-    SimEvents = 0,
+    SimEvents = 0,   ///< EventQueue callbacks executed.
     FramesDelivered, ///< IgbDriver::receive completions.
     LlcAccesses,     ///< Llc cpuRead + cpuWrite + ioWrite calls.
     LlcMisses,       ///< Llc demand-miss fills + I/O allocations.

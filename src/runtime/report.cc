@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -54,16 +53,16 @@ struct Report
     std::vector<Row> rows;
 };
 
-/** "0x..." hex uint64 parse (the shard-report seed spelling). */
+/** The shard-report seed spelling BenchReport writes, "0x" and 16
+ *  lowercase hex digits, and nothing else. */
 bool
 parseHexU64(const std::string &text, std::uint64_t &out)
 {
-    if (text.size() < 3 || text.compare(0, 2, "0x") != 0)
+    if (text.size() != 18 || text.compare(0, 2, "0x") != 0 ||
+        text.find_first_not_of("0123456789abcdef", 2) != std::string::npos)
         return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str() + 2, &end, 16);
-    return errno == 0 && end && *end == '\0';
+    out = std::strtoull(text.c_str() + 2, nullptr, 16);
+    return true;
 }
 
 /** A hexfloat metric that parses completely to a finite double. */

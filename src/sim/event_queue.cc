@@ -77,28 +77,9 @@ EventQueue::step()
     return true;
 }
 
-bool
-EventQueue::tryAdvanceWithin(Cycles when)
-{
-    if (!inRun_ || when > activeHorizon_ || when < now_)
-        return false;
-    if (!heap_.empty() && heap_[0].when <= when)
-        return false;
-    now_ = when;
-    obs::bump(obs::Stat::SimEvents);
-    return true;
-}
-
 std::size_t
 EventQueue::runUntil(Cycles horizon)
 {
-    // Save/restore so nested runUntil calls (an event driving a
-    // sub-simulation) keep the outer horizon intact.
-    const bool outerInRun = inRun_;
-    const Cycles outerHorizon = activeHorizon_;
-    inRun_ = true;
-    activeHorizon_ = horizon;
-
     std::size_t executed = 0;
     while (!heap_.empty() && heap_[0].when <= horizon) {
         step();
@@ -106,9 +87,6 @@ EventQueue::runUntil(Cycles horizon)
     }
     if (now_ < horizon)
         now_ = horizon;
-
-    inRun_ = outerInRun;
-    activeHorizon_ = outerHorizon;
     return executed;
 }
 

@@ -46,9 +46,7 @@ class EventQueue
      * exceed @p horizon.
      *
      * @param horizon Latest cycle (inclusive) to execute events for.
-     * @return Number of events executed (popped from the queue; work
-     *         inlined into an event via tryAdvanceWithin() is counted
-     *         in obs::Stat::SimEvents but not here).
+     * @return Number of events executed.
      */
     std::size_t runUntil(Cycles horizon);
 
@@ -63,39 +61,6 @@ class EventQueue
 
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
-
-    /**
-     * Cycle of the earliest pending event, or ~0 when the queue is
-     * empty. Inside a running event the event itself has already been
-     * popped, so this is the time of the *next* event to execute.
-     */
-    Cycles
-    nextEventTime() const
-    {
-        return heap_.empty() ? ~static_cast<Cycles>(0) : heap_[0].when;
-    }
-
-    /**
-     * Advance simulated time to @p when from inside a running event,
-     * without returning to the scheduler loop.
-     *
-     * This is the batching primitive: an event handler that would
-     * otherwise reschedule itself at @p when may instead advance the
-     * clock and continue inline, provided no other event and no
-     * runUntil() horizon intervenes. The advance is refused (returns
-     * false, clock untouched) unless all of the following hold:
-     *
-     *  - a runUntil() is active and @p when is within its horizon;
-     *  - every pending event is strictly later than @p when (a pending
-     *    event at exactly @p when has an older seq than the event the
-     *    handler would have rescheduled, so it must run first);
-     *  - @p when is not in the past.
-     *
-     * A successful advance counts as one executed event in
-     * obs::Stat::SimEvents, so counter totals are identical whether a
-     * handler batches or reschedules.
-     */
-    bool tryAdvanceWithin(Cycles when);
 
   private:
     struct Entry
@@ -123,9 +88,6 @@ class EventQueue
     std::vector<Entry> heap_;
     Cycles now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    /** Horizon of the innermost active runUntil(); valid when inRun_. */
-    Cycles activeHorizon_ = 0;
-    bool inRun_ = false;
 };
 
 } // namespace pktchase

@@ -392,6 +392,23 @@ TEST(ShardMerge, RejectsGarbageHexValue)
         << err;
 }
 
+/** A seed is only what BenchReport writes, "0x" and 16 lowercase hex
+ *  digits; strtoull alone would also read a sign, a blank or a second
+ *  "0x" after the prefix as the same value. */
+TEST(ShardMerge, RejectsLooseSeedSpellings)
+{
+    for (const std::string prefix : {"0x+", "0x ", "0x0x"}) {
+        SCOPED_TRACE(prefix);
+        const std::string err =
+            rejectEdited("loose_seed", [&](std::string &t) {
+                replaceFirst(t, "\"seed\": \"0x", "\"seed\": \"" + prefix);
+            });
+        EXPECT_NE(err.find("has a malformed seed \"" + prefix),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(ShardMerge, RejectsFractionalIndex)
 {
     const std::string err = rejectEdited("frac_index", [](std::string &t) {

@@ -167,7 +167,8 @@ TEST(TrafficPump, DeliversAllFrames)
     TrafficPump pump(w.eq, w.drv,
                      std::make_unique<ConstantStream>(64, 100000.0, 50),
                      100);
-    w.eq.runUntil(secondsToCycles(0.01));
+    // Every frame is its own event.
+    EXPECT_EQ(w.eq.runUntil(secondsToCycles(0.01)), 50u);
     EXPECT_EQ(pump.delivered(), 50u);
     EXPECT_TRUE(pump.exhausted());
     EXPECT_EQ(w.drv.stats().framesReceived, 50u);

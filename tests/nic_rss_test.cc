@@ -4,16 +4,23 @@
  * steering is a pure function of the flow id (same flow, same queue),
  * independent of packet order and driver state, and spreads a large
  * flow population near-uniformly; per-queue rings, policies, and
- * statistics are isolated.
+ * statistics are isolated; each queue receives its frames in arrival
+ * order and numbers them 0, 1, 2, ... for its policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "mem/phys_mem.hh"
+#include "net/traffic.hh"
 #include "nic/igb_driver.hh"
 #include "nic/rss.hh"
 #include "testbed/testbed.hh"
@@ -247,4 +254,105 @@ TEST(MultiQueueDriverDeath, SinglePolicyWithManyQueuesFatal)
         IgbDriver(multiQueue(2), w.phys, w.hier,
                   std::make_unique<FullRandomPolicy>()),
         ::testing::ExitedWithCode(1), "per queue");
+}
+
+TEST(MultiQueueDriver, PumpedFramesTappedOnceInArrivalOrder)
+{
+    testbed::TestbedConfig cfg = testbed::TestbedConfig::reduced();
+    cfg.nicSpec = "nic.queues:4";
+    testbed::Testbed tb(cfg);
+    ASSERT_EQ(tb.driver().numQueues(), 4u);
+
+    // Copy-break, page-flipping and dropped frames on three flows,
+    // plus a 64-flow background spread over every queue: 1500 frames.
+    auto mix = std::make_unique<net::FlowMix>();
+    mix->add(std::make_unique<net::ConstantStream>(
+        128, 40000.0, 400, Protocol::Tcp, 7));
+    mix->add(std::make_unique<net::ConstantStream>(
+        1024, 30000.0, 300, Protocol::Udp, 19));
+    mix->add(std::make_unique<net::ConstantStream>(
+        700, 25000.0, 300, Protocol::Unknown, 31));
+    mix->add(std::make_unique<net::PoissonBackground>(
+        50000.0, Rng(99), 500, 64));
+
+    std::vector<std::vector<Cycles>> arrivals(4);
+    std::set<std::pair<std::uint32_t, std::uint64_t>> tapped;
+    for (std::size_t q = 0; q < 4; ++q) {
+        tb.driver().queue(q).setDeliveryTap(
+            [&, q](std::size_t, const Frame &frame, Cycles when) {
+                arrivals[q].push_back(when);
+                tapped.emplace(frame.flow, frame.id);
+            });
+    }
+
+    net::TrafficPump pump(tb.eq(), tb.driver(), std::move(mix), 1000);
+    tb.eq().runUntil(Cycles(1) << 40);
+    EXPECT_TRUE(pump.exhausted());
+
+    std::size_t total = 0;
+    for (std::size_t q = 0; q < 4; ++q) {
+        EXPECT_FALSE(arrivals[q].empty()) << "queue " << q;
+        EXPECT_TRUE(std::is_sorted(arrivals[q].begin(),
+                                   arrivals[q].end()))
+            << "queue " << q << " tapped a frame before its predecessor";
+        total += arrivals[q].size();
+    }
+    EXPECT_EQ(total, 1500u);
+    EXPECT_EQ(tapped.size(), 1500u); // No frame was tapped twice.
+}
+
+namespace
+{
+
+/** Records the ordinal of every onPacket call on its queue. */
+class RecordingPolicy : public BufferPolicy
+{
+  public:
+    explicit RecordingPolicy(std::vector<std::uint64_t> &log) : log_(log)
+    {
+    }
+
+    std::string name() const override { return "ring.none"; }
+
+    HookTraits
+    hookTraits() const override
+    {
+        return {false, true};
+    }
+
+    void
+    onPacket(RxQueue &, std::uint64_t n) override
+    {
+        log_.push_back(n);
+    }
+
+  private:
+    std::vector<std::uint64_t> &log_;
+};
+
+} // namespace
+
+TEST(MultiQueueDriver, OnPacketOrdinalsCountEachQueuesOwnFrames)
+{
+    World w;
+    std::vector<std::vector<std::uint64_t>> logs(2);
+    std::vector<std::unique_ptr<BufferPolicy>> policies;
+    for (auto &log : logs)
+        policies.push_back(std::make_unique<RecordingPolicy>(log));
+    IgbDriver drv(multiQueue(2, 16), w.phys, w.hier, std::move(policies));
+
+    // Flows 0..5 interleave, so each queue's runs split and resume.
+    std::vector<std::uint64_t> per_queue(2, 0);
+    for (std::uint32_t i = 0; i < 96; ++i) {
+        drv.receive(flowFrame(i % 6, 64 + 16 * (i % 8)),
+                    Cycles(1000 + 500 * i));
+        ++per_queue[drv.rss().queueFor(i % 6)];
+    }
+
+    for (std::size_t q = 0; q < 2; ++q) {
+        ASSERT_GT(per_queue[q], 0u) << "queue " << q;
+        std::vector<std::uint64_t> expected(per_queue[q]);
+        std::iota(expected.begin(), expected.end(), 0u);
+        EXPECT_EQ(logs[q], expected) << "queue " << q;
+    }
 }

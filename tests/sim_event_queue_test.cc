@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -87,77 +86,4 @@ TEST(EventQueueDeath, SchedulingIntoThePastPanics)
     eq.schedule(100, [] {});
     eq.runUntil(100);
     EXPECT_DEATH(eq.schedule(50, [] {}), "past");
-}
-
-TEST(EventQueue, TryAdvanceRefusedWhenPendingEventAtExactTarget)
-{
-    // A pending event at exactly the fold target has an older seq
-    // than the event the handler would have rescheduled, so it must
-    // run first: the inline advance is refused, the clock untouched,
-    // and the scheduler interleaves the two correctly.
-    EventQueue eq;
-    std::vector<int> order;
-    bool advanced = true;
-    eq.schedule(10, [&] {
-        advanced = eq.tryAdvanceWithin(20);
-        order.push_back(1);
-    });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.runUntil(100);
-    EXPECT_FALSE(advanced);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(eq.now(), 100u);
-}
-
-TEST(EventQueue, TryAdvanceRefusedOutsideActiveRun)
-{
-    EventQueue eq;
-    // No runUntil() active at all: the fold has no horizon to respect
-    // and must be refused outright.
-    EXPECT_FALSE(eq.tryAdvanceWithin(5));
-    EXPECT_EQ(eq.now(), 0u);
-
-    // Inside a run, a fold past the active horizon is refused -- the
-    // caller owns time beyond it -- while one at exactly the horizon
-    // is the last legal advance.
-    Cycles at_horizon = 0, past_horizon = 0;
-    bool ok_at = false, ok_past = true;
-    eq.schedule(10, [&] {
-        ok_past = eq.tryAdvanceWithin(51); // horizon + 1
-        past_horizon = eq.now();
-        ok_at = eq.tryAdvanceWithin(50); // exactly the horizon
-        at_horizon = eq.now();
-    });
-    eq.runUntil(50);
-    EXPECT_FALSE(ok_past);
-    EXPECT_EQ(past_horizon, 10u); // refused advances leave now() alone
-    EXPECT_TRUE(ok_at);
-    EXPECT_EQ(at_horizon, 50u);
-    EXPECT_EQ(eq.now(), 50u);
-}
-
-TEST(EventQueue, TryAdvanceInterleavesWithNewlyScheduledEarlierEvent)
-{
-    // A handler batches forward, then new work lands before its next
-    // fold target: the fold must be refused so the earlier event runs
-    // first, and a later in-bounds fold succeeds again.
-    EventQueue eq;
-    std::vector<std::pair<int, Cycles>> trace;
-    eq.schedule(10, [&] {
-        ASSERT_TRUE(eq.tryAdvanceWithin(20)); // queue empty: batches
-        trace.emplace_back(1, eq.now());
-        eq.schedule(25, [&] { trace.emplace_back(2, eq.now()); });
-        // 25 < 30: refused, the handler must yield to the scheduler.
-        EXPECT_FALSE(eq.tryAdvanceWithin(30));
-        // A fold short of the pending event stays legal (25 is
-        // strictly later than 24).
-        EXPECT_TRUE(eq.tryAdvanceWithin(24));
-        trace.emplace_back(3, eq.now());
-    });
-    eq.runUntil(100);
-    ASSERT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace[0], (std::pair<int, Cycles>{1, 20}));
-    EXPECT_EQ(trace[1], (std::pair<int, Cycles>{3, 24}));
-    EXPECT_EQ(trace[2], (std::pair<int, Cycles>{2, 25}));
-    EXPECT_EQ(eq.now(), 100u);
 }
