@@ -16,6 +16,7 @@
 
 #include "defense/registry.hh"
 #include "nic/igb_driver.hh"
+#include "nic/rss.hh"
 #include "sim/rng.hh"
 #include "workload/attack_eval.hh"
 #include "workload/defense_eval.hh"
@@ -241,6 +242,31 @@ TEST(NicSpecDeath, BadQueueSpecsFatal)
                 ::testing::ExitedWithCode(1), "must be in");
     EXPECT_EXIT(nicQueues("ring.none"), ::testing::ExitedWithCode(1),
                 "nic.queues");
+}
+
+TEST(SpecGrammar, EdgesTheMutantLoopNeverDraws)
+{
+    // The steering table's size is the largest queue count a spec
+    // may name, and the count one past it is refused.
+    const std::string most = nicSpecOf(nic::RssSteering::kRetaEntries);
+    EXPECT_EQ(most, "nic.queues:128");
+    EXPECT_TRUE(Registry::instance().contains(most));
+    EXPECT_EQ(nicQueues(most), nic::RssSteering::kRetaEntries);
+    EXPECT_EQ(parseCell("ring.none+cache.ddio+" + most).queues(),
+              nic::RssSteering::kRetaEntries);
+    EXPECT_FALSE(Registry::instance().contains("nic.queues:129"));
+
+    // A gate cannot wrap another gate.
+    EXPECT_FALSE(Registry::instance().contains(
+        "ring.gated:cadence:gated.cadence"));
+}
+
+TEST(SpecGrammarDeath, EdgesTheMutantLoopNeverDrawsFatal)
+{
+    EXPECT_EXIT(nicQueues("nic.queues:129"),
+                ::testing::ExitedWithCode(1), kOneFatalLine);
+    EXPECT_EXIT(makeRingPolicy("ring.gated:cadence:gated.cadence"),
+                ::testing::ExitedWithCode(1), kOneFatalLine);
 }
 
 TEST(Cell, NicPartRoundTripsAndDefaultIsOmitted)
