@@ -1,6 +1,6 @@
 /**
  * @file
- * Defense demo (Secs. VI-VII): defenses are named registry specs, so
+ * Defense demo (Secs. VI-VII): defenses are named by spec strings, so
  * trying a mitigation is a string, not a rebuild. The adaptive I/O
  * cache partitioning stops incoming packets from evicting CPU (spy)
  * lines, closing the channel while costing the server almost nothing.
@@ -45,13 +45,11 @@ runChannel(const std::string &cache_spec)
 int
 main()
 {
-    std::printf("registered defense policies\n");
-    for (const char *domain : {"ring", "cache"}) {
-        for (const std::string &name :
-             defense::Registry::instance().names(domain)) {
+    std::printf("built-in defense policies\n");
+    for (const char *domain : {"ring", "cache", "nic"}) {
+        for (const std::string &name : defense::names(domain)) {
             std::printf("  %-20s %s\n", name.c_str(),
-                        defense::Registry::instance()
-                            .description(name).c_str());
+                        defense::description(name).c_str());
         }
     }
 

@@ -25,7 +25,7 @@
  * Policies mutate set contents only through Llc::partitionDrop so the
  * writeback and partition-invalidation statistics stay consistent.
  * Canonical spec strings ("cache.ddio-ways:2") are produced by name()
- * and parsed by defense::Registry.
+ * and parsed by defense::parseSpec() (defense/registry.hh).
  */
 
 #ifndef PKTCHASE_CACHE_INJECTION_POLICY_HH

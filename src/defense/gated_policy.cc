@@ -11,38 +11,6 @@ namespace
 
 constexpr const char *kPrefix = "ring.gated:";
 
-/**
- * Split "ring.gated:<detector>:<inner>"; false on anything else
- * (including an inner part that smuggles another ':').
- */
-bool
-splitGated(const std::string &spec, std::string &det,
-           std::string &inner)
-{
-    const std::string prefix(kPrefix);
-    if (spec.rfind(prefix, 0) != 0)
-        return false;
-    const std::string rest = spec.substr(prefix.size());
-    const std::size_t colon = rest.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= rest.size())
-        return false;
-    det = rest.substr(0, colon);
-    inner = rest.substr(colon + 1);
-    return inner.find(':') == std::string::npos;
-}
-
-/** "partial.1000" -> "ring.partial:1000"; "none" -> "ring.none". */
-std::string
-innerToRegistrySpec(const std::string &dotted)
-{
-    const std::size_t dot = dotted.find('.');
-    if (dot == std::string::npos)
-        return "ring." + dotted;
-    return "ring." + dotted.substr(0, dot) + ":" +
-        dotted.substr(dot + 1);
-}
-
 /** "ring.partial:1000" -> "partial.1000" (for canonical names). */
 std::string
 registrySpecToInner(const std::string &spec)
@@ -102,35 +70,6 @@ void
 GatedPolicy::onTeardown(nic::RxQueue &q)
 {
     inner_->onTeardown(q);
-}
-
-bool
-isGatedRingSpec(const std::string &ring_spec)
-{
-    std::string det, inner;
-    return splitGated(ring_spec, det, inner);
-}
-
-std::string
-gatedDetectorOf(const std::string &ring_spec)
-{
-    std::string det, inner;
-    if (!splitGated(ring_spec, det, inner)) {
-        fatal("defense::gatedDetectorOf: \"" + ring_spec +
-              "\" is not a \"ring.gated:<detector>:<inner>\" spec");
-    }
-    return det;
-}
-
-std::string
-gatedInnerOf(const std::string &ring_spec)
-{
-    std::string det, inner;
-    if (!splitGated(ring_spec, det, inner)) {
-        fatal("defense::gatedInnerOf: \"" + ring_spec +
-              "\" is not a \"ring.gated:<detector>:<inner>\" spec");
-    }
-    return innerToRegistrySpec(inner);
 }
 
 } // namespace pktchase::defense

@@ -10,19 +10,21 @@
  * quarantine pool) keeps its invariants whether or not it ever arms.
  *
  * Spec grammar: "ring.gated:<detector>:<inner>", where <detector> is
- * a detect::makeDetector name and <inner> is a ring policy with the
- * param separator ':' spelled '.' (the spec grammar reserves ':' for
- * the top-level split):
+ * a detect::makeDetector name and <inner> is any other ring policy
+ * with the param separator ':' spelled '.' (the spec grammar reserves
+ * ':' for the top-level split):
  *
  *     ring.gated:cadence:partial.1000
  *     ring.gated:miss-spike:full
  *     ring.gated:entropy-drop:quarantine.16
  *
- * Wiring: the defense registry constructs GatedPolicy instances
- * unbound (permanently disarmed); testbed assembly builds one
- * detect::DetectionRig per testbed whose GateController every queue's
- * instance binds to. An unbound instance is therefore exactly the
- * "ring.none" fast path plus one branch per packet.
+ * defense::makeRingPolicy() parses that spec and constructs the
+ * GatedPolicy unbound (permanently disarmed). Testbed assembly reads
+ * detectorName() off the built policy, builds one
+ * detect::DetectionRig per testbed with that gate detector, and binds
+ * every queue's instance to the rig's GateController. An unbound
+ * instance is therefore exactly the "ring.none" fast path plus one
+ * branch per packet.
  */
 
 #ifndef PKTCHASE_DEFENSE_GATED_POLICY_HH
@@ -85,23 +87,6 @@ class GatedPolicy : public nic::BufferPolicy
     std::unique_ptr<nic::BufferPolicy> inner_;
     const detect::GateController *gate_ = nullptr;
 };
-
-/** Whether @p ring_spec is a (syntactically) gated ring spec. */
-bool isGatedRingSpec(const std::string &ring_spec);
-
-/**
- * Detector name of a gated ring spec ("cadence" for
- * "ring.gated:cadence:partial.1000"); fatal on a non-gated or
- * malformed spec.
- */
-std::string gatedDetectorOf(const std::string &ring_spec);
-
-/**
- * Inner ring spec of a gated ring spec, in registry form
- * ("ring.partial:1000" for "ring.gated:cadence:partial.1000"); fatal
- * on a non-gated or malformed spec.
- */
-std::string gatedInnerOf(const std::string &ring_spec);
 
 } // namespace pktchase::defense
 

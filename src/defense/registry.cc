@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdint>
 
 #include "defense/gated_policy.hh"
 #include "detect/detector.hh"
@@ -15,125 +16,248 @@ namespace pktchase::defense
 namespace
 {
 
-/** Parse attempt without fatal(); returns false on malformed syntax. */
-bool
-tryParse(const std::string &text, Spec &out)
+/** One built-in policy. */
+struct Builtin
 {
-    const std::size_t dot = text.find('.');
-    if (dot == std::string::npos || dot == 0)
-        return false;
-    out.domain = text.substr(0, dot);
-    if (out.domain != "ring" && out.domain != "cache" &&
-        out.domain != "nic")
-        return false;
+    const char *name;          ///< "<domain>.<policy>".
+    const char *description;
+    const char *param;         ///< What the count sets; nullptr if none.
+    std::uint64_t maxCount;    ///< Largest count taken; the smallest is 1.
+};
 
-    std::string rest = text.substr(dot + 1);
-    const std::size_t colon = rest.find(':');
-    out.hasParam = colon != std::string::npos;
-    if (out.hasParam) {
-        const std::string param = rest.substr(colon + 1);
-        rest = rest.substr(0, colon);
-        if (out.domain == "ring" && rest == "gated") {
-            // The one textual production: "<detector>:<inner>", with
-            // exactly one inner ':' and nothing empty on either side.
-            const std::size_t c2 = param.find(':');
-            if (c2 == std::string::npos || c2 == 0 ||
-                c2 + 1 >= param.size() ||
-                param.find(':', c2 + 1) != std::string::npos)
-                return false;
-            out.text = param;
-        } else {
-            // The spec grammar caps a count at 19 digits.
-            if (param.size() > 19 ||
-                !sim::parseDecimalU64(param, out.param))
-                return false;
-        }
+/**
+ * Every policy a spec can name. Adding a ring or cache policy takes a
+ * row here and a case in buildRing() or buildCache(); a count the
+ * spec omits takes the policy class's default. ring.gated takes no
+ * count: parse() reads its "<detector>:<inner>" parameter.
+ */
+constexpr Builtin kBuiltins[] = {
+    {"ring.none", "vulnerable baseline: buffers recycle in place",
+     nullptr, 0},
+    {"ring.full", "fresh random buffer for every packet (Sec. VI)",
+     nullptr, 0},
+    {"ring.partial",
+     "reshuffle the whole ring every N packets (Sec. VI)", "interval",
+     UINT64_MAX},
+    {"ring.offset", "random intra-page buffer offset on every recycle",
+     nullptr, 0},
+    {"ring.quarantine",
+     "delayed recycle through a FIFO pool of N spare pages", "depth",
+     UINT64_MAX},
+    {"ring.gated",
+     "arm an inner ring defense only while a detector alarms "
+     "(\"ring.gated:<detector>:<inner>\")",
+     nullptr, 0},
+    {"cache.no-ddio", "memory-first DMA: write DRAM, snoop-invalidate",
+     nullptr, 0},
+    {"cache.ddio", "DDIO baseline: inject at the configured way cap",
+     nullptr, 0},
+    {"cache.ddio-ways",
+     "DDIO restricted to exactly N allocation ways per set",
+     "ddio-ways", UINT_MAX},
+    {"cache.adaptive", "Sec. VII adaptive I/O cache partitioning",
+     nullptr, 0},
+    {"nic.queues", "N RSS receive queues, one descriptor ring each",
+     "queues", nic::RssSteering::kRetaEntries},
+};
+
+constexpr const char *kMalformed =
+    "malformed spec (expected \"<domain>.<policy>[:<count>]\")";
+constexpr const char *kGateUsage =
+    "ring.gated needs \"ring.gated:<detector>:<inner>\"";
+
+const Builtin *
+find(const std::string &name)
+{
+    for (const Builtin &b : kBuiltins) {
+        if (name == b.name)
+            return &b;
     }
-    if (rest.empty() || rest.find(':') != std::string::npos)
-        return false;
-    out.policy = rest;
-    return true;
-}
-
-/** Insert-or-replace an entry in one domain's table. */
-template <typename Entry, typename Factory>
-void
-upsert(std::vector<Entry> &entries, const std::string &policy,
-       const std::string &description, bool takes_param,
-       Factory factory)
-{
-    for (Entry &e : entries) {
-        if (e.policy == policy) {
-            e = Entry{policy, description, takes_param,
-                      std::move(factory)};
-            return;
-        }
-    }
-    entries.push_back(Entry{policy, description, takes_param,
-                            std::move(factory)});
-}
-
-template <typename Entry>
-const Entry *
-findEntry(const std::vector<Entry> &entries, const std::string &policy)
-{
-    for (const Entry &e : entries)
-        if (e.policy == policy)
-            return &e;
     return nullptr;
 }
 
-/** Domain-check + lookup shared by makeRing/makeCache; fatal on miss. */
-template <typename Entry>
-const Entry &
-resolveEntry(const std::vector<Entry> &entries,
-             const std::string &spec_text, const Spec &spec,
-             const std::string &domain)
+/** The table's names in @p domain, sorted; none for unknown domains. */
+std::vector<std::string>
+namesOf(const std::string &domain)
 {
-    if (spec.domain != domain) {
-        fatal("defense::Registry: \"" + spec_text + "\" is not a " +
-              domain + " spec");
+    std::vector<std::string> out;
+    for (const Builtin &b : kBuiltins) {
+        const std::string name = b.name;
+        if (name.compare(0, name.find('.'), domain) == 0)
+            out.push_back(name);
     }
-    const Entry *e = findEntry(entries, spec.policy);
-    if (!e) {
-        fatal("defense::Registry: unknown " + domain + " policy \"" +
-              spec_text + "\"");
-    }
-    return *e;
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** "(known: ring.full, ring.gated, ...)" for @p domain. */
+std::string
+known(const std::string &domain)
+{
+    std::string list;
+    for (const std::string &name : namesOf(domain))
+        list += (list.empty() ? "" : ", ") + name;
+    return "(known: " + list + ")";
+}
+
+/** What a spec names, once parse() has checked it. */
+struct Parsed
+{
+    Spec spec;
+    std::string detector;  ///< ring.gated only: the gate detector
+    Spec inner;            ///< and the ring policy it arms.
+};
+
+/**
+ * Check "<policy>[<sep><count>]" against @p domain's table rows: fill
+ * @p out and return "", or return why the text is rejected. Refuses
+ * ring.gated, whose parameter parse() reads.
+ */
+std::string
+parsePolicy(const std::string &domain, const std::string &text,
+            char sep, Spec &out)
+{
+    const std::size_t cut = text.find(sep);
+    out.domain = domain;
+    out.policy = text.substr(0, cut);
+    if (out.policy.empty())
+        return kMalformed;
+    const std::string name = domain + "." + out.policy;
+    const Builtin *b = find(name);
+    if (!b)
+        return "unknown " + domain + " policy \"" + out.policy + "\" " +
+            known(domain);
+    if (name == "ring.gated")
+        return kGateUsage;
+    out.hasParam = cut != std::string::npos;
+    if (!out.hasParam)
+        return "";
+    // The grammar caps a count at 19 digits.
+    const std::string count = text.substr(cut + 1);
+    if (count.size() > 19 || !sim::parseDecimalU64(count, out.param))
+        return "malformed spec: count \"" + count +
+            "\" is not 1 to 19 decimal digits";
+    if (!b->param)
+        return "policy \"" + name + "\" does not take a parameter";
+    const std::string range =
+        ": it must be in [1, " + std::to_string(b->maxCount) + "]";
+    if (out.param == 0)
+        return std::string(b->param) + " must be nonzero" + range;
+    if (out.param > b->maxCount)
+        return std::string(b->param) + " " + count + " does not fit" +
+            range;
+    return "";
 }
 
 /**
- * Whether a parsed nic-domain spec names a usable configuration: the
- * single validity rule shared by Registry::contains() and the fatal
- * nicQueues() parser.
+ * The one spec parser: fill @p out and return "" if @p text names a
+ * built-in policy with a parameter it takes, or return why not.
  */
-bool
-validNicSpec(const Spec &spec)
+std::string
+parse(const std::string &text, Parsed &out)
 {
-    return spec.policy == "queues" &&
-        (!spec.hasParam ||
-         (spec.param >= 1 &&
-          spec.param <= nic::RssSteering::kRetaEntries));
+    const std::size_t dot = text.find('.');
+    if (dot == std::string::npos || dot == 0)
+        return kMalformed;
+    const std::string domain = text.substr(0, dot);
+    if (namesOf(domain).empty())
+        return "unknown domain \"" + domain + "\"";
+    const std::string body = text.substr(dot + 1);
+    const std::string gate = "gated:";
+    if (domain != "ring" || body.compare(0, gate.size(), gate) != 0)
+        return parsePolicy(domain, body, ':', out.spec);
+
+    // "<detector>:<inner>": nothing empty, no third ':'.
+    out.spec.domain = "ring";
+    out.spec.policy = "gated";
+    const std::string param = body.substr(gate.size());
+    const std::size_t colon = param.find(':');
+    if (colon == std::string::npos || colon == 0 ||
+        colon + 1 == param.size() ||
+        param.find(':', colon + 1) != std::string::npos)
+        return kGateUsage;
+    out.detector = param.substr(0, colon);
+    if (!detect::isDetectorName(out.detector))
+        return "unknown gate detector \"" + out.detector + "\"";
+    const std::string reason =
+        parsePolicy("ring", param.substr(colon + 1), '.', out.inner);
+    if (out.inner.policy == "gated")
+        return "a gate cannot wrap another gate";
+    return reason;
 }
 
 /**
- * Whether @p spec's count is one its built-in policy's constructor
- * accepts. contains() checks it here because the constructors fatal,
- * with their own messages, on the counts they refuse: the partial
- * interval, the quarantine depth and the DDIO way count must be
- * nonzero, and the way count must fit an unsigned.
+ * Parse @p spec as a spec of @p domain (any domain if empty), or fatal
+ * with the reason, naming the @p cell it came from if one is given.
  */
-bool
-countFits(const Spec &spec)
+Parsed
+parseAs(const std::string &spec, const std::string &domain,
+        const std::string &cell = "")
 {
-    if (!spec.hasParam)
-        return true;
-    const std::string name = spec.domain + "." + spec.policy;
-    if (name == "ring.partial" || name == "ring.quarantine")
-        return spec.param != 0;
-    if (name == "cache.ddio-ways")
-        return spec.param != 0 && spec.param <= UINT_MAX;
-    return true;
+    Parsed p;
+    std::string reason = parse(spec, p);
+    if (reason.empty() && !domain.empty() && p.spec.domain != domain)
+        reason = "not a " + domain + " spec " + known(domain);
+    if (reason.empty())
+        return p;
+    std::string where = "\"" + spec + "\"";
+    if (!cell.empty())
+        where += " in \"" + cell + "\"";
+    fatal("defense: " + where + ": " + reason);
+}
+
+/** Build the ring policy @p s names, unless it is a gate. */
+std::unique_ptr<nic::BufferPolicy>
+buildRing(const Spec &s)
+{
+    if (s.policy == "none")
+        return std::make_unique<nic::NonePolicy>();
+    if (s.policy == "full")
+        return std::make_unique<nic::FullRandomPolicy>();
+    if (s.policy == "partial") {
+        return std::make_unique<nic::PartialPeriodicPolicy>(
+            s.hasParam ? s.param
+                       : nic::PartialPeriodicPolicy::kDefaultInterval);
+    }
+    if (s.policy == "offset")
+        return std::make_unique<nic::RandomOffsetPolicy>();
+    if (s.policy == "quarantine") {
+        return std::make_unique<nic::QuarantinePolicy>(
+            s.hasParam ? s.param : nic::QuarantinePolicy::kDefaultDepth);
+    }
+    panic("defense: no factory for ring." + s.policy);
+}
+
+/** Build the ring policy @p p names, gates included. */
+std::unique_ptr<nic::BufferPolicy>
+ringOf(const Parsed &p)
+{
+    if (p.spec.policy != "gated")
+        return buildRing(p.spec);
+    return std::make_unique<GatedPolicy>(p.detector, buildRing(p.inner));
+}
+
+std::unique_ptr<cache::InjectionPolicy>
+buildCache(const Spec &s)
+{
+    if (s.policy == "no-ddio")
+        return std::make_unique<cache::NoDdioPolicy>();
+    if (s.policy == "ddio")
+        return std::make_unique<cache::DdioPolicy>();
+    if (s.policy == "ddio-ways") {
+        return std::make_unique<cache::DdioWaysPolicy>(
+            s.hasParam ? s.param : 2u);
+    }
+    if (s.policy == "adaptive")
+        return std::make_unique<cache::AdaptivePartitionPolicy>();
+    panic("defense: no factory for cache." + s.policy);
+}
+
+std::size_t
+queuesOf(const Spec &s)
+{
+    return s.hasParam ? static_cast<std::size_t>(s.param)
+                      : nic::kDefaultQueues;
 }
 
 } // namespace
@@ -141,244 +265,45 @@ countFits(const Spec &spec)
 Spec
 parseSpec(const std::string &text)
 {
-    Spec spec;
-    if (!tryParse(text, spec)) {
-        fatal("defense::parseSpec: malformed spec \"" + text +
-              "\" (expected \"ring.<policy>[:<param>]\" or "
-              "\"cache.<policy>[:<param>]\")");
-    }
-    return spec;
+    return parseAs(text, "").spec;
 }
 
 bool
-isSpecSyntax(const std::string &text)
+contains(const std::string &spec)
 {
-    Spec spec;
-    return tryParse(text, spec);
-}
-
-Registry &
-Registry::instance()
-{
-    static Registry reg;
-    return reg;
-}
-
-Registry::Registry()
-{
-    // ---------------------------------------------------- ring built-ins
-    addRing("none", "vulnerable baseline: buffers recycle in place",
-            false, [](const Spec &) {
-                return std::make_unique<nic::NonePolicy>();
-            });
-    addRing("full", "fresh random buffer for every packet (Sec. VI)",
-            false, [](const Spec &) {
-                return std::make_unique<nic::FullRandomPolicy>();
-            });
-    addRing("partial",
-            "reshuffle the whole ring every N packets (Sec. VI)",
-            true, [](const Spec &s) {
-                return std::make_unique<nic::PartialPeriodicPolicy>(
-                    s.hasParam
-                        ? s.param
-                        : nic::PartialPeriodicPolicy::kDefaultInterval);
-            });
-    addRing("offset",
-            "random intra-page buffer offset on every recycle",
-            false, [](const Spec &) {
-                return std::make_unique<nic::RandomOffsetPolicy>();
-            });
-    addRing("quarantine",
-            "delayed recycle through a FIFO pool of N spare pages",
-            true, [](const Spec &s) {
-                return std::make_unique<nic::QuarantinePolicy>(
-                    s.hasParam ? s.param
-                               : nic::QuarantinePolicy::kDefaultDepth);
-            });
-    addRing("gated",
-            "arm an inner ring defense only while a detector alarms "
-            "(\"ring.gated:<detector>:<inner>\")",
-            true,
-            [](const Spec &s) -> std::unique_ptr<nic::BufferPolicy> {
-                if (s.text.empty()) {
-                    fatal("defense::Registry: ring.gated needs "
-                          "\"ring.gated:<detector>:<inner>\"");
-                }
-                const std::string full = "ring.gated:" + s.text;
-                return std::make_unique<GatedPolicy>(
-                    gatedDetectorOf(full),
-                    makeRingPolicy(gatedInnerOf(full)));
-            });
-
-    // --------------------------------------------------- cache built-ins
-    addCache("no-ddio",
-             "memory-first DMA: write DRAM, snoop-invalidate", false,
-             [](const Spec &) {
-                 return std::make_unique<cache::NoDdioPolicy>();
-             });
-    addCache("ddio", "DDIO baseline: inject at the configured way cap",
-             false, [](const Spec &) {
-                 return std::make_unique<cache::DdioPolicy>();
-             });
-    addCache("ddio-ways",
-             "DDIO restricted to exactly N allocation ways per set",
-             true, [](const Spec &s) {
-                 return std::make_unique<cache::DdioWaysPolicy>(
-                     s.hasParam ? s.param : 2u);
-             });
-    addCache("adaptive",
-             "Sec. VII adaptive I/O cache partitioning", false,
-             [](const Spec &) {
-                 return std::make_unique<cache::AdaptivePartitionPolicy>();
-             });
-}
-
-void
-Registry::addRing(const std::string &policy,
-                  const std::string &description, bool takes_param,
-                  RingFactory factory)
-{
-    upsert(ring_, policy, description, takes_param,
-           std::move(factory));
-}
-
-void
-Registry::addCache(const std::string &policy,
-                   const std::string &description, bool takes_param,
-                   CacheFactory factory)
-{
-    upsert(cache_, policy, description, takes_param,
-           std::move(factory));
-}
-
-void
-Registry::checkParam(const Spec &spec, bool takes_param) const
-{
-    if (spec.hasParam && !takes_param) {
-        fatal("defense::Registry: policy \"" + spec.domain + "." +
-              spec.policy + "\" does not take a parameter");
-    }
-}
-
-std::unique_ptr<nic::BufferPolicy>
-Registry::makeRing(const std::string &spec_text) const
-{
-    const Spec spec = parseSpec(spec_text);
-    const RingEntry &e = resolveEntry(ring_, spec_text, spec, "ring");
-    checkParam(spec, e.takesParam);
-    return e.factory(spec);
-}
-
-std::unique_ptr<cache::InjectionPolicy>
-Registry::makeCache(const std::string &spec_text) const
-{
-    const Spec spec = parseSpec(spec_text);
-    const CacheEntry &e =
-        resolveEntry(cache_, spec_text, spec, "cache");
-    checkParam(spec, e.takesParam);
-    return e.factory(spec);
-}
-
-bool
-Registry::contains(const std::string &spec_text) const
-{
-    Spec spec;
-    if (!tryParse(spec_text, spec))
-        return false;
-    if (spec.domain == "nic")
-        return validNicSpec(spec);
-    if (spec.domain == "ring") {
-        if (spec.policy == "gated") {
-            // Instantiable only with a detector and a known inner
-            // policy; a bare "ring.gated" has nothing to gate. The
-            // non-fatal isGatedRingSpec guard keeps contains() from
-            // reaching the fatal accessors on anything malformed.
-            if (spec.text.empty())
-                return false;
-            const std::string full = "ring.gated:" + spec.text;
-            if (!isGatedRingSpec(full))
-                return false;
-            return detect::isDetectorName(gatedDetectorOf(full)) &&
-                contains(gatedInnerOf(full));
-        }
-        const RingEntry *e = findEntry(ring_, spec.policy);
-        return e && (!spec.hasParam || e->takesParam) && countFits(spec);
-    }
-    const CacheEntry *e = findEntry(cache_, spec.policy);
-    return e && (!spec.hasParam || e->takesParam) && countFits(spec);
-}
-
-std::vector<std::string>
-Registry::names(const std::string &domain) const
-{
-    std::vector<std::string> out;
-    if (domain == "ring") {
-        for (const RingEntry &e : ring_)
-            out.push_back("ring." + e.policy);
-    } else if (domain == "cache") {
-        for (const CacheEntry &e : cache_)
-            out.push_back("cache." + e.policy);
-    } else {
-        fatal("defense::Registry::names: unknown domain \"" +
-              domain + "\"");
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::string
-Registry::description(const std::string &spec_text) const
-{
-    const Spec spec = parseSpec(spec_text);
-    if (spec.domain == "ring") {
-        if (const RingEntry *e = findEntry(ring_, spec.policy))
-            return e->description;
-    } else if (const CacheEntry *e = findEntry(cache_, spec.policy)) {
-        return e->description;
-    }
-    fatal("defense::Registry: unknown policy \"" + spec_text + "\"");
+    Parsed p;
+    return parse(spec, p).empty();
 }
 
 std::unique_ptr<nic::BufferPolicy>
 makeRingPolicy(const std::string &spec)
 {
-    return Registry::instance().makeRing(spec);
+    return ringOf(parseAs(spec, "ring"));
 }
 
 std::unique_ptr<cache::InjectionPolicy>
 makeCachePolicy(const std::string &spec)
 {
-    return Registry::instance().makeCache(spec);
+    return buildCache(parseAs(spec, "cache").spec);
 }
 
 std::string
-canonicalSpec(const std::string &spec_text)
+canonicalSpec(const std::string &spec)
 {
-    const Spec spec = parseSpec(spec_text);
-    if (spec.domain == "ring")
-        return Registry::instance().makeRing(spec_text)->name();
-    if (spec.domain == "nic")
-        return nicSpecOf(nicQueues(spec_text));
-    return Registry::instance().makeCache(spec_text)->name();
+    const Parsed p = parseAs(spec, "");
+    if (p.spec.domain == "ring")
+        return ringOf(p)->name();
+    if (p.spec.domain == "cache")
+        return buildCache(p.spec)->name();
+    return nicSpecOf(queuesOf(p.spec));
 }
 
 std::size_t
-nicQueues(const std::string &spec_text)
+nicQueues(const std::string &spec)
 {
-    if (spec_text.empty())
+    if (spec.empty())
         return nic::kDefaultQueues;
-    const Spec spec = parseSpec(spec_text);
-    if (spec.domain != "nic" || spec.policy != "queues") {
-        fatal("defense::nicQueues: \"" + spec_text +
-              "\" is not a \"nic.queues[:<N>]\" spec");
-    }
-    if (!validNicSpec(spec)) {
-        fatal("defense::nicQueues: queue count in \"" + spec_text +
-              "\" must be in [1, " +
-              std::to_string(nic::RssSteering::kRetaEntries) + "]");
-    }
-    return spec.hasParam ? static_cast<std::size_t>(spec.param)
-                         : nic::kDefaultQueues;
+    return queuesOf(parseAs(spec, "nic").spec);
 }
 
 std::string
@@ -387,10 +312,31 @@ nicSpecOf(std::size_t queues)
     return "nic.queues:" + std::to_string(queues);
 }
 
+std::vector<std::string>
+names(const std::string &domain)
+{
+    std::vector<std::string> out = namesOf(domain);
+    if (out.empty())
+        fatal("defense: unknown domain \"" + domain + "\"");
+    return out;
+}
+
+std::string
+description(const std::string &spec)
+{
+    const Builtin *b = find(spec);
+    if (!b) {
+        const Spec s = parseSpec(spec);
+        b = find(s.domain + "." + s.policy);
+    }
+    return b->description;
+}
+
 std::string
 Cell::name() const
 {
-    std::string n = canonicalSpec(ring) + "+" + canonicalSpec(cache);
+    std::string n = makeRingPolicy(ring)->name() + "+" +
+        makeCachePolicy(cache)->name();
     const std::size_t q = queues();
     if (q != nic::kDefaultQueues)
         n += "+" + nicSpecOf(q);
@@ -404,7 +350,7 @@ parseCell(const std::string &text)
     // A trailing '+' would leave an empty nic spec, which silently
     // means the default queue count.
     if (plus == std::string::npos || text.back() == '+') {
-        fatal("defense::parseCell: malformed cell \"" + text +
+        fatal("defense: malformed cell \"" + text +
               "\" (expected \"<ring spec>+<cache spec>"
               "[+<nic spec>]\")");
     }
@@ -418,13 +364,10 @@ parseCell(const std::string &text)
     } else {
         cell.cache = rest;
     }
-    const Spec ring = parseSpec(cell.ring);
-    const Spec cache = parseSpec(cell.cache);
-    if (ring.domain != "ring" || cache.domain != "cache") {
-        fatal("defense::parseCell: \"" + text + "\" must pair a "
-              "ring spec with a cache spec, in that order");
-    }
-    nicQueues(cell.nic); // Validates the optional nic part.
+    parseAs(cell.ring, "ring", text);
+    parseAs(cell.cache, "cache", text);
+    if (!cell.nic.empty())
+        parseAs(cell.nic, "nic", text);
     return cell;
 }
 

@@ -27,8 +27,8 @@
  * defense cost accounting -- consistent across policies.
  *
  * Canonical spec strings ("ring.partial:1000") are produced by name()
- * and parsed by defense::Registry; see src/defense/README.md for the
- * registration how-to.
+ * and parsed by defense::parseSpec(); see src/defense/README.md for
+ * how a policy joins the built-in table.
  */
 
 #ifndef PKTCHASE_NIC_BUFFER_POLICY_HH

@@ -72,13 +72,12 @@ Testbed::Testbed(const TestbedConfig &cfg)
         *hier_, *spySpace_, cfg_.builder);
 
     // A gated ring defense needs the telemetry + detector stack it
-    // arms from: build the rig and bind every queue's policy to its
-    // gate. Non-gated configurations attach nothing -- the telemetry
-    // path stays entirely off.
+    // arms from: build the rig on the policy's gate detector and bind
+    // every queue's policy to its gate. Non-gated configurations
+    // attach nothing -- the telemetry path stays entirely off.
     if (!gated.empty()) {
         detect::RigConfig rig_cfg = cfg_.detection;
-        rig_cfg.gateDetector =
-            defense::gatedDetectorOf(cfg_.ringDefense);
+        rig_cfg.gateDetector = gated.front()->detectorName();
         rig_ = std::make_unique<detect::DetectionRig>(*hier_, *driver_,
                                                       rig_cfg);
         for (defense::GatedPolicy *gp : gated)

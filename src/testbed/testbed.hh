@@ -39,10 +39,11 @@ struct TestbedConfig
     attack::BuilderConfig builder;
 
     /**
-     * Defense specs, resolved through defense::Registry at assembly:
-     * the software ring defense driving the IGB driver's buffer
-     * recycling and the cache-side DMA injection policy. The defaults
-     * are the paper's vulnerable DDIO baseline.
+     * Defense specs, built by defense::makeRingPolicy() and
+     * defense::makeCachePolicy() at assembly: the software ring
+     * defense driving the IGB driver's buffer recycling and the
+     * cache-side DMA injection policy. The defaults are the paper's
+     * vulnerable DDIO baseline.
      */
     std::string ringDefense = "ring.none";
     std::string cacheDefense = "cache.ddio";

@@ -1,8 +1,9 @@
 /**
  * @file
  * Defense-evaluation harness: assembles testbeds for named defense
- * cells (defense::Cell = ring spec x cache spec, resolved through
- * defense::Registry) and runs the Sec. VII workloads.
+ * cells (defense::Cell = ring spec x cache spec, built by
+ * defense::makeRingPolicy() and makeCachePolicy()) and runs the
+ * Sec. VII workloads.
  *
  * The grids are data-driven: each figure is a list of spec strings
  * crossed into scenario cells, so adding a defense point to an
@@ -29,7 +30,7 @@ namespace pktchase::workload
 
 /**
  * Build a full-size testbed configuration with geometry @p geom and
- * the given defense specs (defense::Registry names).
+ * the given defense specs (see defense/registry.hh).
  */
 testbed::TestbedConfig
 makeDefenseConfig(const std::string &cache_spec,

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the defense spec grammar and registry: parsing, loud
- * failure on unknown or malformed specs, parse -> instantiate -> name
- * round-trips, custom policy registration, and a seeded mutation loop
- * over every spec the registered grids name.
+ * Tests for the defense spec grammar and the built-in policy table:
+ * parsing, loud failure on unknown or malformed specs, parse ->
+ * instantiate -> name round-trips, and a seeded mutation loop over
+ * every spec the registered grids name.
  */
 
 #include <gtest/gtest.h>
@@ -55,19 +55,19 @@ TEST(SpecParse, FieldsOfValidSpecs)
 
 TEST(SpecParse, SyntaxCheckIsNonFatal)
 {
-    EXPECT_TRUE(isSpecSyntax("ring.partial:1000"));
-    EXPECT_TRUE(isSpecSyntax("cache.ddio"));
-    EXPECT_TRUE(isSpecSyntax("nic.queues:4"));
-    EXPECT_FALSE(isSpecSyntax("partial"));
-    EXPECT_FALSE(isSpecSyntax("ring"));
-    EXPECT_FALSE(isSpecSyntax("ring."));
-    EXPECT_FALSE(isSpecSyntax(".partial"));
-    EXPECT_FALSE(isSpecSyntax("mac.partial"));
-    EXPECT_FALSE(isSpecSyntax("ring.partial:"));
-    EXPECT_FALSE(isSpecSyntax("ring.partial:10x"));
-    EXPECT_FALSE(isSpecSyntax("ring.partial:1:2"));
-    EXPECT_FALSE(isSpecSyntax("ring.partial:99999999999999999999999"));
-    EXPECT_FALSE(isSpecSyntax(""));
+    EXPECT_TRUE(contains("ring.partial:1000"));
+    EXPECT_TRUE(contains("cache.ddio"));
+    EXPECT_TRUE(contains("nic.queues:4"));
+    EXPECT_FALSE(contains("partial"));
+    EXPECT_FALSE(contains("ring"));
+    EXPECT_FALSE(contains("ring."));
+    EXPECT_FALSE(contains(".partial"));
+    EXPECT_FALSE(contains("mac.partial"));
+    EXPECT_FALSE(contains("ring.partial:"));
+    EXPECT_FALSE(contains("ring.partial:10x"));
+    EXPECT_FALSE(contains("ring.partial:1:2"));
+    EXPECT_FALSE(contains("ring.partial:99999999999999999999999"));
+    EXPECT_FALSE(contains(""));
 }
 
 TEST(SpecParseDeath, MalformedSpecFatal)
@@ -126,44 +126,59 @@ TEST(Registry, ContainsRejectsExactlyWhatTheFactoriesReject)
 {
     // Each spec parses and names a registered policy, but its factory
     // refuses the count (see the death tests above).
-    const Registry &reg = Registry::instance();
-    EXPECT_FALSE(reg.contains("ring.partial:0"));
-    EXPECT_FALSE(reg.contains("ring.quarantine:0"));
-    EXPECT_FALSE(reg.contains("cache.ddio-ways:0"));
-    EXPECT_FALSE(reg.contains("ring.gated:cadence:partial.0"));
-    EXPECT_FALSE(reg.contains("cache.ddio-ways:4294967297"));
+    EXPECT_FALSE(contains("ring.partial:0"));
+    EXPECT_FALSE(contains("ring.quarantine:0"));
+    EXPECT_FALSE(contains("cache.ddio-ways:0"));
+    EXPECT_FALSE(contains("ring.gated:cadence:partial.0"));
+    EXPECT_FALSE(contains("cache.ddio-ways:4294967297"));
     // The boundary counts the factories still take.
-    EXPECT_TRUE(reg.contains("ring.partial:1"));
-    EXPECT_TRUE(reg.contains("ring.quarantine:1"));
-    EXPECT_TRUE(reg.contains("ring.gated:cadence:partial.1"));
-    EXPECT_TRUE(reg.contains("cache.ddio-ways:4294967295"));
+    EXPECT_TRUE(contains("ring.partial:1"));
+    EXPECT_TRUE(contains("ring.quarantine:1"));
+    EXPECT_TRUE(contains("ring.gated:cadence:partial.1"));
+    EXPECT_TRUE(contains("cache.ddio-ways:4294967295"));
     EXPECT_EQ(canonicalSpec("cache.ddio-ways:4294967295"),
               "cache.ddio-ways:4294967295");
 }
 
 TEST(Registry, ContainsKnowsBuiltInsAndRejectsUnknowns)
 {
-    const Registry &reg = Registry::instance();
-    EXPECT_TRUE(reg.contains("ring.none"));
-    EXPECT_TRUE(reg.contains("ring.partial:1000"));
-    EXPECT_TRUE(reg.contains("cache.ddio-ways:2"));
-    EXPECT_FALSE(reg.contains("ring.nope"));
-    EXPECT_FALSE(reg.contains("cache.ddio:2"));  // param not taken
-    EXPECT_FALSE(reg.contains("gibberish"));
+    EXPECT_TRUE(contains("ring.none"));
+    EXPECT_TRUE(contains("ring.partial:1000"));
+    EXPECT_TRUE(contains("cache.ddio-ways:2"));
+    EXPECT_FALSE(contains("ring.nope"));
+    EXPECT_FALSE(contains("cache.ddio:2"));  // param not taken
+    EXPECT_FALSE(contains("gibberish"));
 }
 
 TEST(Registry, BuiltInNamesListed)
 {
-    const auto ring = Registry::instance().names("ring");
-    const auto cache = Registry::instance().names("cache");
+    const auto ring = names("ring");
+    const auto cache = names("cache");
+    const auto nic = names("nic");
     EXPECT_EQ(ring, (std::vector<std::string>{
         "ring.full", "ring.gated", "ring.none", "ring.offset",
         "ring.partial", "ring.quarantine"}));
     EXPECT_EQ(cache, (std::vector<std::string>{
         "cache.adaptive", "cache.ddio", "cache.ddio-ways",
         "cache.no-ddio"}));
-    for (const auto &n : ring)
-        EXPECT_FALSE(Registry::instance().description(n).empty());
+    EXPECT_EQ(nic, (std::vector<std::string>{"nic.queues"}));
+    for (const auto &domain : {ring, cache, nic}) {
+        for (const auto &n : domain)
+            EXPECT_FALSE(description(n).empty()) << n;
+    }
+    // A spec contains() accepts has its policy's description.
+    EXPECT_EQ(description("nic.queues:4"), description("nic.queues"));
+    EXPECT_EQ(description("ring.gated:cadence:partial.1000"),
+              description("ring.gated"));
+}
+
+TEST(RegistryDeath, DescriptionAndNamesRejectWhatTheyDoNotList)
+{
+    // cache.ddio takes no count, so contains() rejects this spec.
+    EXPECT_EXIT(description("cache.ddio:5"),
+                ::testing::ExitedWithCode(1), kOneFatalLine);
+    EXPECT_EXIT(names("mac"), ::testing::ExitedWithCode(1),
+                kOneFatalLine);
 }
 
 TEST(Registry, ParseInstantiateNameRoundTrip)
@@ -179,7 +194,7 @@ TEST(Registry, ParseInstantiateNameRoundTrip)
     for (const char *spec : specs) {
         const std::string canon = canonicalSpec(spec);
         EXPECT_EQ(canonicalSpec(canon), canon) << spec;
-        EXPECT_TRUE(Registry::instance().contains(canon)) << spec;
+        EXPECT_TRUE(contains(canon)) << spec;
     }
 }
 
@@ -219,6 +234,14 @@ TEST(CellDeath, MalformedCellsFatal)
     // A trailing '+' is not a default nic spec.
     EXPECT_EXIT(parseCell("ring.none+cache.ddio+"),
                 ::testing::ExitedWithCode(1), "malformed cell");
+    // Parts of the right domain that name nothing buildable.
+    for (const char *cell :
+         {"ring.nope+cache.ddio", "ring.partial:0+cache.ddio",
+          "ring.gated+cache.ddio", "ring.none+cache.ddio-ways:0"}) {
+        EXPECT_EXIT(parseCell(cell), ::testing::ExitedWithCode(1),
+                    kOneFatalLine)
+            << cell;
+    }
 }
 
 TEST(NicSpec, QueueCountsParseAndCanonicalize)
@@ -250,14 +273,14 @@ TEST(SpecGrammar, EdgesTheMutantLoopNeverDraws)
     // may name, and the count one past it is refused.
     const std::string most = nicSpecOf(nic::RssSteering::kRetaEntries);
     EXPECT_EQ(most, "nic.queues:128");
-    EXPECT_TRUE(Registry::instance().contains(most));
+    EXPECT_TRUE(contains(most));
     EXPECT_EQ(nicQueues(most), nic::RssSteering::kRetaEntries);
     EXPECT_EQ(parseCell("ring.none+cache.ddio+" + most).queues(),
               nic::RssSteering::kRetaEntries);
-    EXPECT_FALSE(Registry::instance().contains("nic.queues:129"));
+    EXPECT_FALSE(contains("nic.queues:129"));
 
     // A gate cannot wrap another gate.
-    EXPECT_FALSE(Registry::instance().contains(
+    EXPECT_FALSE(contains(
         "ring.gated:cadence:gated.cadence"));
 }
 
@@ -265,8 +288,11 @@ TEST(SpecGrammarDeath, EdgesTheMutantLoopNeverDrawsFatal)
 {
     EXPECT_EXIT(nicQueues("nic.queues:129"),
                 ::testing::ExitedWithCode(1), kOneFatalLine);
+    // The reason names the text the caller passed, not the inner
+    // spec it wraps.
     EXPECT_EXIT(makeRingPolicy("ring.gated:cadence:gated.cadence"),
-                ::testing::ExitedWithCode(1), kOneFatalLine);
+                ::testing::ExitedWithCode(1),
+                "^fatal: [^\n]*\"ring\\.gated:cadence:gated\\.cadence\"[^\n]*\n$");
 }
 
 TEST(Cell, NicPartRoundTripsAndDefaultIsOmitted)
@@ -286,34 +312,6 @@ TEST(Cell, NicPartRoundTripsAndDefaultIsOmitted)
     EXPECT_EQ(back.nic, "nic.queues:4");
     EXPECT_EQ(back.queues(), 4u);
     EXPECT_EQ(back.name(), multi.name());
-}
-
-TEST(Registry, CustomPolicyRegistration)
-{
-    // An experiment can plug in its own policy under a new name; the
-    // registry treats it exactly like a built-in.
-    class EveryOther : public nic::BufferPolicy
-    {
-      public:
-        std::string name() const override { return "ring.every-other"; }
-        void
-        onRecycle(nic::RxQueue &q, std::size_t i) override
-        {
-            if (++count_ % 2 == 0)
-                q.reallocBuffer(i);
-        }
-
-      private:
-        std::uint64_t count_ = 0;
-    };
-
-    Registry::instance().addRing(
-        "every-other", "reallocate every second packet", false,
-        [](const Spec &) { return std::make_unique<EveryOther>(); });
-    EXPECT_TRUE(Registry::instance().contains("ring.every-other"));
-    EXPECT_EQ(canonicalSpec("ring.every-other"), "ring.every-other");
-    EXPECT_EQ(makeRingPolicy("ring.every-other")->name(),
-              "ring.every-other");
 }
 
 namespace
@@ -361,7 +359,6 @@ TEST(SpecGrammar, MutantsAreRejectedOrCanonicalize)
 {
     const std::vector<std::string> seeds = gridSpecs();
     ASSERT_GE(seeds.size(), 10u);
-    const Registry &reg = Registry::instance();
 
     // Bytes the grammar cares about, so mutants reach past the lexer,
     // and counts at the edges of what the policies accept.
@@ -399,13 +396,13 @@ TEST(SpecGrammar, MutantsAreRejectedOrCanonicalize)
                 break;
             }
         }
-        if (!reg.contains(text)) {
+        if (!contains(text)) {
             rejected.emplace_back(seed, text);
             continue;
         }
         ++accepted;
         const std::string canon = canonicalSpec(text);
-        EXPECT_TRUE(reg.contains(canon)) << text << " -> " << canon;
+        EXPECT_TRUE(contains(canon)) << text << " -> " << canon;
         EXPECT_EQ(canonicalSpec(canon), canon) << text;
     }
     // Parameter digits mutate into other valid specs; most structural

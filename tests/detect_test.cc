@@ -364,24 +364,18 @@ TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
 
 TEST(GatedSpec, GrammarRoundTripsThroughRegistry)
 {
-    EXPECT_TRUE(defense::isSpecSyntax(
-        "ring.gated:cadence:partial.1000"));
-    EXPECT_TRUE(defense::Registry::instance().contains(
-        "ring.gated:cadence:partial.1000"));
-    EXPECT_TRUE(defense::Registry::instance().contains(
-        "ring.gated:miss-spike:full"));
+    EXPECT_TRUE(defense::contains("ring.gated:cadence:partial.1000"));
+    EXPECT_TRUE(defense::contains("ring.gated:miss-spike:full"));
     // Unknown detector or inner policy: well-formed but unknown.
-    EXPECT_FALSE(defense::Registry::instance().contains(
-        "ring.gated:nope:full"));
-    EXPECT_FALSE(defense::Registry::instance().contains(
-        "ring.gated:cadence:nope"));
+    EXPECT_FALSE(defense::contains("ring.gated:nope:full"));
+    EXPECT_FALSE(defense::contains("ring.gated:cadence:nope"));
     // A gate param without an inner policy, or a smuggled extra ':',
-    // is malformed; a bare "ring.gated" parses like any paramless
-    // spec but names nothing instantiable.
-    EXPECT_FALSE(defense::isSpecSyntax("ring.gated:cadence"));
-    EXPECT_FALSE(defense::isSpecSyntax("ring.gated:a:b:c"));
-    EXPECT_TRUE(defense::isSpecSyntax("ring.gated"));
-    EXPECT_FALSE(defense::Registry::instance().contains("ring.gated"));
+    // is malformed; a bare "ring.gated" is a listed policy name but
+    // names nothing instantiable.
+    EXPECT_FALSE(defense::contains("ring.gated:cadence"));
+    EXPECT_FALSE(defense::contains("ring.gated:a:b:c"));
+    EXPECT_FALSE(defense::description("ring.gated").empty());
+    EXPECT_FALSE(defense::contains("ring.gated"));
     EXPECT_EXIT(defense::makeRingPolicy("ring.gated"),
                 ::testing::ExitedWithCode(1), "ring.gated needs");
 
