@@ -66,8 +66,9 @@ constexpr const char *kMalformed =
 constexpr const char *kGateUsage =
     "ring.gated needs \"ring.gated:<detector>:<inner>\"";
 
+/** The row named @p name ("ring.partial"), or nullptr. */
 const Builtin *
-find(const std::string &name)
+lookup(const std::string &name)
 {
     for (const Builtin &b : kBuiltins) {
         if (name == b.name)
@@ -123,7 +124,7 @@ parsePolicy(const std::string &domain, const std::string &text,
     if (out.policy.empty())
         return kMalformed;
     const std::string name = domain + "." + out.policy;
-    const Builtin *b = find(name);
+    const Builtin *b = lookup(name);
     if (!b)
         return "unknown " + domain + " policy \"" + out.policy + "\" " +
             known(domain);
@@ -324,10 +325,10 @@ names(const std::string &domain)
 std::string
 description(const std::string &spec)
 {
-    const Builtin *b = find(spec);
+    const Builtin *b = lookup(spec);
     if (!b) {
         const Spec s = parseSpec(spec);
-        b = find(s.domain + "." + s.policy);
+        b = lookup(s.domain + "." + s.policy);
     }
     return b->description;
 }
