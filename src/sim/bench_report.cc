@@ -155,7 +155,12 @@ BenchReport::write(const std::string &path) const
         std::fprintf(f, "}%s\n", i + 1 < cells_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed) {
+        std::fprintf(stderr, "BenchReport: cannot write %s\n",
+                     target.c_str());
+        return false;
+    }
     return true;
 }
 

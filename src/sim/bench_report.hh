@@ -84,7 +84,7 @@ class BenchReport
      * Write the artifact. @p path overrides the default
      * "BENCH_<name>.json".
      * @return false (with a message on stderr) when the file cannot
-     *         be written.
+     *         be written completely.
      */
     bool write(const std::string &path = "") const;
 

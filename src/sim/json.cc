@@ -66,6 +66,9 @@ class Parser
         failed_ = true;
     }
 
+    /** A string literal. The writers emit only the escapes \" and \\,
+     *  so those are the only ones read: any other (\t, \u0041, ...)
+     *  fails instead of silently naming something else. */
     std::string
     string()
     {
@@ -73,8 +76,15 @@ class Parser
         std::string out;
         while (!failed_ && pos_ < text_.size() && text_[pos_] != '"') {
             char c = text_[pos_++];
-            if (c == '\\' && pos_ < text_.size())
+            if (c == '\\' && pos_ < text_.size()) {
+                if (text_[pos_] != '"' && text_[pos_] != '\\') {
+                    --pos_;
+                    fail("unsupported escape in string (only \\\" and "
+                         "\\\\ are read)");
+                    break;
+                }
                 c = text_[pos_++];
+            }
             if (static_cast<unsigned char>(c) < 0x20)
                 fail("control character in string");
             else

@@ -3,8 +3,9 @@
  * A deliberately minimal JSON reader: just enough of the grammar to
  * consume the artifacts this codebase writes itself (sim::BenchReport
  * files and the campaign shard reports) -- objects, arrays, strings
- * with the backslash escapes the writers emit, and numbers in the JSON
- * number grammar (no nan, inf or hex spellings).
+ * with the two escapes the writers emit (\" and \\; any other escape
+ * is an error), and numbers in the JSON number grammar (no nan, inf or
+ * hex spellings).
  *
  * This is a *round-trip* parser for our own output, not a general
  * JSON library: no unicode escapes, no booleans/null keywords beyond

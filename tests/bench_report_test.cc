@@ -5,8 +5,9 @@
  * (the same one the shard-merge tool trusts), the hexfloat map must
  * reproduce every decimal metric bit-exactly, two writes of the same
  * report must be byte-identical (the property performance-tracking
- * tooling diffs on), and the shared decimal parser must take exactly
- * the uint64 range.
+ * tooling diffs on), a write that fails must say so, the parser must
+ * read only the escapes the writers emit, and the shared decimal
+ * parser must take exactly the uint64 range.
  */
 
 #include <cstdint>
@@ -15,6 +16,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +186,15 @@ TEST(BenchReport, TwoWritesAreByteIdentical)
     std::remove(b.c_str());
 }
 
+/** /dev/full accepts the open and fails the flush: the write must
+ *  report the failure instead of claiming the file was written. */
+TEST(BenchReport, FailedWriteIsReported)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    EXPECT_FALSE(sampleReport().write("/dev/full"));
+}
+
 TEST(BenchReport, ScalarLastWriteWins)
 {
     sim::BenchReport report("scalars");
@@ -210,6 +222,20 @@ TEST(JsonParser, RejectsMalformedInput)
     EXPECT_FALSE(sim::parseJson("[\"a\nb\"]", v, err));
     EXPECT_FALSE(sim::parseJson("[\"a\\\nb\"]", v, err));
     EXPECT_FALSE(err.empty());
+    // The writers escape only the quote and the backslash; every other
+    // escape is refused at its byte offset rather than read as a
+    // literal.
+    for (const char *esc : {"\\n", "\\t", "\\/", "\\u0041"}) {
+        err.clear();
+        EXPECT_FALSE(sim::parseJson(std::string("[\"ab") + esc + "\"]", v,
+                                    err))
+            << esc;
+        EXPECT_NE(err.find("at byte 4: unsupported escape"),
+                  std::string::npos)
+            << err;
+    }
+    ASSERT_TRUE(sim::parseJson("[\"a\\\"b\\\\c\"]", v, err)) << err;
+    EXPECT_EQ(v.arr[0].str, "a\"b\\c");
     std::string noent_err;
     EXPECT_FALSE(sim::parseJsonFile(
         testing::TempDir() + "/json_no_such_file.json", v, noent_err));

@@ -392,6 +392,18 @@ TEST(ShardMerge, RejectsGarbageHexValue)
         << err;
 }
 
+/** The writers escape only the quote and the backslash, so a cell
+ *  name with any other escape is refused, not merged under a rewritten
+ *  name (tiny/1\tx\u0041 used to merge as tiny/1txu0041). */
+TEST(ShardMerge, RejectsEscapesTheWritersNeverEmit)
+{
+    const std::string err = rejectEdited("bad_escape", [](std::string &t) {
+        replaceFirst(t, "\"name\": \"tiny/1\"",
+                     "\"name\": \"tiny/1\\tx\\u0041\"");
+    });
+    EXPECT_NE(err.find("unsupported escape"), std::string::npos) << err;
+}
+
 /** A seed is only what BenchReport writes, "0x" and 16 lowercase hex
  *  digits; strtoull alone would also read a sign, a blank or a second
  *  "0x" after the prefix as the same value. */
