@@ -26,14 +26,18 @@
  *     ...                              --shard=3/4 --report=s3.json
  *     ./build/examples/campaign --merge full.json s0.json ... s3.json
  *
- * Profiling: --profile=out.json opens an in-process
- * obs::ProfileSession and writes the per-phase / per-cell profile
- * report (see runtime/report.hh); profile reports
- * shard and --merge exactly like campaign reports. --progress=rich
- * adds the hottest phase's self-time share to the live progress line.
- * --trace-buffer=N caps the per-thread trace buffer (with --trace);
- * overflow drops events, counted in the trace, on stderr, and in the
- * profile report's trace.dropped.* scalars.
+ * Profiling and tracing share one in-process obs::ProfileSession,
+ * opened for any of --profile, --trace and --progress=rich.
+ * --profile=out.json writes the per-phase / per-cell profile report
+ * (see runtime/report.hh); profile reports shard and --merge exactly
+ * like campaign reports. --progress=rich adds the hottest phase's
+ * self-time share to the live progress line. --trace=out.json writes
+ * every span as Chrome trace-event JSON, and --trace-buffer=N caps the
+ * spans kept per thread; overflow drops spans, counted in the trace,
+ * on stderr, and in the profile report's trace.dropped.* scalars.
+ * PKTCHASE_PROFILE_TICKS=N swaps the wall clock of both for the
+ * deterministic N-ns-per-query test clock. A report, profile or trace
+ * that cannot be written completely fails the command (exit 1).
  *
  * --threads=0 (the default) resolves like the benches: the
  * PKTCHASE_THREADS environment variable, else max(4, hardware).
@@ -50,7 +54,6 @@
 #include <vector>
 
 #include "obs/profile.hh"
-#include "obs/trace.hh"
 #include "runtime/registry.hh"
 #include "runtime/report.hh"
 #include "runtime/sweep.hh"
@@ -74,7 +77,7 @@ struct Options
     std::string trace_path;
     std::string report_path;
     std::string profile_path;
-    std::uint64_t trace_buffer = 0; ///< 0: TraceSession's default cap.
+    std::uint64_t trace_buffer = 0; ///< 0: the session's default cap.
     runtime::ShardSpec shard; ///< Defaults to the unsharded 0/1.
     bool shard_set = false;
 };
@@ -244,25 +247,16 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    // The session spans the whole run and writes its file when it goes
-    // out of scope at the end of main. Without --trace no session
-    // exists and every span compiles down to a TLS-null check.
-    std::optional<obs::TraceSession> trace;
-    if (!opt.trace_path.empty()) {
-        if (opt.trace_buffer != 0)
-            trace.emplace(opt.trace_path,
-                          static_cast<std::size_t>(opt.trace_buffer));
-        else
-            trace.emplace(opt.trace_path);
-    }
-
-    // Profile aggregation: on for --profile (report) and
-    // --progress=rich (live top-phase line). PKTCHASE_PROFILE_TICKS=N
+    // One span session for --profile (report), --trace (Chrome trace)
+    // and --progress=rich (live top-phase line); it spans the whole
+    // run. Without any of them no session exists and every span
+    // compiles down to a TLS-null check. PKTCHASE_PROFILE_TICKS=N
     // swaps the wall clock for the deterministic N-ns-per-query test
     // clock, which is what makes sharded --profile runs merge
     // byte-identically to an unsharded one in CI.
-    std::optional<obs::ProfileSession> profile;
-    if (!opt.profile_path.empty() || opt.sweep.richProgress) {
+    std::optional<obs::ProfileSession> session;
+    if (!opt.profile_path.empty() || !opt.trace_path.empty() ||
+        opt.sweep.richProgress) {
         std::uint64_t ticks = 0;
         if (const char *env = std::getenv("PKTCHASE_PROFILE_TICKS")) {
             if (!sim::parseDecimalU64(env, ticks)) {
@@ -273,8 +267,16 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        profile.emplace(ticks);
+        session.emplace(ticks, opt.trace_path,
+                        opt.trace_buffer
+                            ? static_cast<std::size_t>(opt.trace_buffer)
+                            : obs::ProfileSession::kDefaultTraceCap);
     }
+    // The trace is written last, once every worker has detached; a
+    // trace that cannot be written fails the run.
+    auto traceWritten = [&session] {
+        return !session || session->writeTrace();
+    };
 
     if (!grid_name.empty()) {
         if (!runtime::ScenarioRegistry::instance().contains(grid_name)) {
@@ -314,14 +316,14 @@ main(int argc, char **argv)
                                          : runtime::defaultThreads();
             const sim::BenchReport report = runtime::profileReport(
                 grid_name, sweep_opt.seed, grid.size(), opt.shard,
-                threads, profile->clockTag(), results);
+                threads, session->clockTag(), results);
             if (!report.write(opt.profile_path))
                 return 1;
             std::printf("wrote %s (profile, shard %u/%u, %zu cells)\n",
                         opt.profile_path.c_str(), opt.shard.index,
                         opt.shard.count, results.size());
         }
-        return 0;
+        return traceWritten() ? 0 : 1;
     }
 
     printGrids(stdout);
@@ -357,5 +359,6 @@ main(int argc, char **argv)
                            runtime::formatReport(reference);
     std::printf("\n4-thread report == 1-thread report: %s\n",
                 identical ? "yes (bit-identical)" : "NO -- BUG");
-    return identical ? 0 : 1;
+    const bool wrote = traceWritten();
+    return identical && wrote ? 0 : 1;
 }

@@ -1,23 +1,21 @@
 /**
  * @file
- * In-process profile aggregation: streaming per-phase statistics the
- * existing span stream folds into at span close, instead of (or in
- * addition to) appending trace events for offline viewing.
+ * The span session: in-process aggregation of the span stream into
+ * per-phase statistics, and optionally the Chrome trace of every span.
  *
- * The trace layer answers "what happened when" by shipping every span
- * to a multi-MB Chrome trace; this layer answers "where does the wall
- * clock go" *in-process*: each profiled span site registers a
- * ProfilePhase once (interning its name into a small integer id), and
- * closing a span adds its duration into the calling thread's fixed
- * slot for that id -- count, total and self wall-time, min/max, and a
- * log2-bucketed latency histogram. No string keys, no allocation, no
- * lock on the hot path: a slot update is a handful of thread-local
- * integer adds.
+ * Each profiled span site registers a ProfilePhase once (interning its
+ * name into a small integer id), and closing a span adds its duration
+ * into the calling thread's fixed slot for that id -- count, total and
+ * self wall-time, min/max, and a log2-bucketed latency histogram. No
+ * string keys, no allocation, no lock on the hot path: a slot update
+ * is a handful of thread-local integer adds.
  *
  * Self-time uses a per-thread stack of open profiled spans: a closing
  * span charges its duration to the parent frame's child accumulator,
  * so a phase's self time is its total minus the profiled spans nested
- * inside it (nesting is RAII, hence strictly LIFO per thread).
+ * inside it (nesting is RAII, hence strictly LIFO per thread). A span
+ * opened past the stack's kMaxDepth frames is neither aggregated nor
+ * traced.
  *
  * Draining: obs::drainProfile() *moves* the calling thread's
  * accumulated stats out and resets the slots. The campaign executor
@@ -27,13 +25,19 @@
  * start-to-finish on one thread, so its drained profile depends only
  * on the work it did, not on which worker ran it.
  *
- * Zero-cost-when-detached rule (same as tracing): with no
- * ProfileSession active -- the default everywhere, including every
- * golden test -- the thread-local block pointer is null and a span
- * costs one extra load + branch. Profiling observes wall-clock only
- * and feeds nothing back into the simulation, so goldens pass
- * bit-identically with it compiled in and a profiled campaign report
- * equals an unprofiled one byte-for-byte.
+ * Tracing: a session opened with a trace path also keeps every closed
+ * span -- its phase (or dynamic name), start and duration, the same
+ * two clock reads the aggregation makes -- in the thread's block, up
+ * to a per-thread cap past which spans are counted as dropped, and
+ * writes them as Chrome trace-event JSON (see obs/trace.hh).
+ *
+ * Zero-cost-when-detached rule: with no ProfileSession active -- the
+ * default everywhere, including every golden test -- the thread-local
+ * block pointer is null and a span costs one load + branch. Sessions
+ * observe wall-clock only and feed nothing back into the simulation,
+ * so goldens pass bit-identically with them compiled in and a
+ * profiled or traced campaign report equals a plain one
+ * byte-for-byte.
  *
  * Determinism hook: a session may run on a fake clock that advances a
  * fixed number of nanoseconds per query instead of reading the host
@@ -50,6 +54,9 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -183,43 +190,67 @@ const char *phaseCat(std::size_t id);
 namespace detail
 {
 
+/** One closed span a tracing session keeps for the trace file. */
+struct SpanRecord
+{
+    unsigned phase = 0;
+    std::uint32_t name = 0; ///< ProfileBlock::kPhaseName or a names index.
+    std::uint64_t startNs = 0;
+    std::uint64_t durNs = 0;
+};
+
 /** One thread's private accumulation state. */
 struct ProfileBlock
 {
     std::array<PhaseStats, kMaxProfilePhases> slots{};
 
+    /** A span record's name is its phase's unless it indexes names. */
+    static constexpr std::uint32_t kPhaseName = ~std::uint32_t(0);
+
     /** Open profiled spans (strictly LIFO; RAII guarantees nesting). */
     struct Frame
     {
         unsigned phase = 0;
+        std::uint32_t name = kPhaseName;
         std::uint64_t startNs = 0;
         std::uint64_t childNs = 0; ///< Total of closed children.
     };
     static constexpr std::size_t kMaxDepth = 64;
     std::array<Frame, kMaxDepth> stack;
-    std::size_t depth = 0;
-    /** Spans beyond kMaxDepth: counted, recorded as leaves (their
-     *  time is not subtracted from any parent's self time). */
-    std::uint64_t depthOverflows = 0;
+    std::size_t depth = 0; ///< May exceed kMaxDepth; see profileOpen().
 
     /** Fake-clock state: 0 = real steady_clock, else ns per query. */
     std::uint64_t tickNs = 0;
     std::uint64_t fakeNowNs = 0;
 
-    std::uint64_t
-    now()
+    /** The trace track: closed spans in close order, at most spanCap
+     *  of them (0 when the session writes no trace), plus the dynamic
+     *  names (cells, tasks) they index and the spans past the cap. */
+    std::string threadName;
+    std::size_t spanCap = 0;
+    std::vector<SpanRecord> spans;
+    std::vector<std::string> names;
+    std::uint64_t dropped = 0;
+
+    static std::uint64_t
+    wallNs()
     {
-        if (tickNs)
-            return fakeNowNs += tickNs;
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count());
     }
+
+    std::uint64_t now() { return tickNs ? fakeNowNs += tickNs : wallNs(); }
 };
 
-/** The calling thread's block, or nullptr while detached; a
- *  function-local thread_local for the same reason as tlsTrace(). */
+/**
+ * The calling thread's block, or nullptr while detached. A
+ * function-local thread_local, like tlsStats(): constant-initialized,
+ * so each access is a plain TLS load with no cross-TU init wrapper
+ * (an extern thread_local's wrapper is what UBSan flags as a null
+ * load).
+ */
 inline ProfileBlock *&
 tlsProfile()
 {
@@ -227,28 +258,42 @@ tlsProfile()
     return block;
 }
 
-/** Span-open half of the hot path: push a frame for @p phaseId. */
+/** Span-open half of the hot path: push a frame for @p phaseId. Past
+ *  kMaxDepth nothing is pushed; only the depth counts the span. */
 inline void
 profileOpen(ProfileBlock *p, unsigned phaseId)
 {
     if (p->depth < ProfileBlock::kMaxDepth) {
         ProfileBlock::Frame &f = p->stack[p->depth];
         f.phase = phaseId;
+        f.name = ProfileBlock::kPhaseName;
         f.childNs = 0;
         f.startNs = p->now();
-    } else {
-        ++p->depthOverflows;
     }
     ++p->depth;
 }
 
-/** Span-close half: pop, fold into the slot, charge the parent. */
+/** Give the span profileOpen() just pushed the trace name @p name.
+ *  Copied only when the thread's track may still keep the span. */
+inline void
+nameOpenSpan(ProfileBlock *p, const std::string &name)
+{
+    if (p->depth > ProfileBlock::kMaxDepth ||
+        p->spans.size() >= p->spanCap)
+        return;
+    p->stack[p->depth - 1].name =
+        static_cast<std::uint32_t>(p->names.size());
+    p->names.push_back(name);
+}
+
+/** Span-close half: pop, fold into the slot, charge the parent, and
+ *  keep the span on a tracing session's track. */
 inline void
 profileClose(ProfileBlock *p)
 {
     --p->depth;
     if (p->depth >= ProfileBlock::kMaxDepth)
-        return; // An overflowed leaf: nothing was pushed.
+        return; // Past the cap: nothing was pushed.
     ProfileBlock::Frame &f = p->stack[p->depth];
     const std::uint64_t endNs = p->now();
     const std::uint64_t durNs =
@@ -257,6 +302,12 @@ profileClose(ProfileBlock *p)
     p->slots[f.phase].add(durNs, childNs);
     if (p->depth > 0)
         p->stack[p->depth - 1].childNs += durNs;
+    if (p->spanCap == 0)
+        return;
+    if (p->spans.size() < p->spanCap)
+        p->spans.push_back({f.phase, f.name, f.startNs, durNs});
+    else
+        ++p->dropped;
 }
 
 } // namespace detail
@@ -272,39 +323,56 @@ profiling()
  * Move the calling thread's accumulated stats out and reset the
  * slots, returning a vector sized to registeredPhaseCount() (empty
  * when not profiling). Open spans are unaffected: a span that closes
- * after the drain lands, whole, in the next window.
+ * after the drain lands, whole, in the next window. The trace track
+ * is not drained.
  */
 ProfileDelta drainProfile();
 
-/** Depth-cap overflows on the calling thread since attach (0 when
- *  not profiling) -- nonzero means self-times are approximate. */
-std::uint64_t profileDepthOverflows();
-
 /**
- * A profile recording: while alive, threads attached to it accumulate
- * phase stats (the constructing thread attaches immediately; campaign
- * workers attach via obs::attachWorkerThread, which serves both the
- * trace and the profile session). At most one session exists at a
- * time (fatal otherwise). The session owns no report: consumers drain
+ * The span session: while alive, threads attached to it accumulate
+ * phase stats and, when it was given a trace path, keep their spans
+ * for the trace file. The constructing thread attaches immediately as
+ * track 0 ("driver"); campaign workers attach via
+ * obs::attachWorkerThread(). At most one session exists at a time
+ * (fatal otherwise). The session owns no report: consumers drain
  * per-thread windows (the campaign executor does, per task) and
  * assemble their own output.
  *
  * @p tick_ns != 0 selects the deterministic fake clock: every clock
  * query advances the querying thread's clock by that many
- * nanoseconds. Tests (and the CI shard-merge byte-identity check) use
- * it to make profile values, not just shapes, reproducible.
+ * nanoseconds, and trace timestamps are those ticks. Tests (and the
+ * CI shard-merge byte-identity check) use it to make profile values,
+ * not just shapes, reproducible.
  */
 class ProfileSession
 {
   public:
-    explicit ProfileSession(std::uint64_t tick_ns = 0);
+    /** Default per-thread span cap of a tracing session. */
+    static constexpr std::size_t kDefaultTraceCap = std::size_t(1) << 22;
+
+    /**
+     * @param tick_ns    Fake-clock step in ns; 0 reads the host clock.
+     * @param trace_path Empty for a profile-only session; else the
+     *                   Chrome trace file writeTrace() writes.
+     * @param trace_cap  Spans kept per attached thread; later spans
+     *                   are counted as dropped.
+     */
+    explicit ProfileSession(std::uint64_t tick_ns = 0,
+                            std::string trace_path = {},
+                            std::size_t trace_cap = kDefaultTraceCap);
+    /** Detaches the calling thread and writes the trace if
+     *  writeTrace() has not run yet. */
     ~ProfileSession();
 
     ProfileSession(const ProfileSession &) = delete;
     ProfileSession &operator=(const ProfileSession &) = delete;
 
-    /** Attach the calling thread; fatal when already attached. */
-    void attachCurrentThread();
+    /**
+     * Attach the calling thread as trace track @p tid named @p name;
+     * fatal when already attached. Threads that attach must detach (or
+     * exit) before the session is destroyed.
+     */
+    void attachCurrentThread(std::uint32_t tid, std::string name);
 
     /** Stop accumulating on the calling thread (no-op if detached). */
     static void detachCurrentThread();
@@ -312,15 +380,57 @@ class ProfileSession
     /** The process-wide active session, or nullptr. */
     static ProfileSession *active();
 
-    std::uint64_t tickNs() const { return tickNs_; }
-
     /** "wall" or "ticks:<N>" -- the clock tag reports carry so a
      *  deterministic-clock artifact can never pass as a real one. */
     std::string clockTag() const;
 
+    /**
+     * Write the Chrome trace file; call after every worker detached.
+     * Idempotent: a second call returns the first outcome; true
+     * without a trace path.
+     * @return false (with one line on stderr) when the file cannot be
+     *         written completely.
+     */
+    bool writeTrace();
+
+    /** Spans dropped past the cap over every attached thread. */
+    std::uint64_t droppedEvents() const;
+
+    /** One trace track's drop tally, for the profile report. */
+    struct ThreadDrops
+    {
+        std::uint32_t tid = 0;
+        std::uint64_t dropped = 0;
+    };
+
+    /** Per-track drop counts in ascending tid order, one entry per
+     *  tid (empty without a trace path). Call after the campaign
+     *  joined its workers, like writeTrace(). */
+    std::vector<ThreadDrops> perThreadDrops() const;
+
   private:
     std::uint64_t tickNs_;
+    std::string tracePath_;
+    std::size_t traceCap_;
+    std::uint64_t epochNs_; ///< Trace time zero: 0 on the fake clock.
+    mutable std::mutex mutex_; ///< Guards blocks_ during attach.
+    /** Every attached thread's block by tid, equal tids in attach
+     *  order; kept until destruction so no pointer dangles. */
+    std::multimap<std::uint32_t, std::unique_ptr<detail::ProfileBlock>>
+        blocks_;
+    bool written_ = false;
+    bool writeOk_ = true;
 };
+
+/**
+ * Attach the calling campaign worker to the active session as trace
+ * track w+1 (track 0 is the driver); no-op without a session. Pair
+ * with detachWorkerThread() before the worker exits.
+ */
+void attachWorkerThread(unsigned worker_index);
+
+/** Detach the calling thread from the active session. */
+void detachWorkerThread();
 
 } // namespace pktchase::obs
 

@@ -12,7 +12,6 @@
 
 #include "obs/manifest.hh"
 #include "obs/profile.hh"
-#include "obs/trace.hh"
 #include "sim/json.hh"
 
 namespace pktchase::runtime
@@ -493,7 +492,7 @@ profileReport(const std::string &gridName, std::uint64_t campaignSeed,
     r.manifest = obs::RunManifest::host(threads);
     r.clock = clockTag;
     // Trace saturation is a report field, not just a stderr line.
-    if (const obs::TraceSession *t = obs::TraceSession::active()) {
+    if (const obs::ProfileSession *t = obs::ProfileSession::active()) {
         r.traceDropped = static_cast<double>(t->droppedEvents());
         for (const auto &td : t->perThreadDrops()) {
             r.threadDrops.emplace_back(

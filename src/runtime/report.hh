@@ -37,8 +37,8 @@
  *    .self_sec, <phase>.self_share (share of the report's total self
  *    time) and <phase>.throughput_hz (spans per inclusive second),
  *    which tools/bench_compare.py gates -- then trace.dropped_events
- *    and, when a trace session is live, per-thread
- *    trace.dropped.t<tid> counts.
+ *    and, when the session writes a trace, per-thread
+ *    trace.dropped.t<tid> counts in ascending tid order.
  *
  * One in-memory report backs both: the emit path fills it from
  * campaign results, the merge fills it from the parsed shard files,
@@ -108,7 +108,8 @@ sim::BenchReport campaignReport(const std::string &gridName,
  * The profile report for @p results (whose ScenarioResult::profile
  * the campaign drain filled): the manifest records this host and
  * @p threads, @p clockTag is the session's clock, and the trace drop
- * counts come from the live obs::TraceSession (0 / none without one).
+ * counts come from the live obs::ProfileSession (0 / none unless it
+ * writes a trace), per thread in ascending tid order.
  */
 sim::BenchReport profileReport(const std::string &gridName,
                                std::uint64_t campaignSeed,

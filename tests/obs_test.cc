@@ -2,8 +2,9 @@
  * @file
  * Tests for the obs subsystem: hot-path counters (snapshot arithmetic,
  * naming, per-cell campaign deltas with the threads=N == threads=1
- * contract) and the wall-clock tracer (file emission, expected span
- * names, zero-cost-when-detached behaviour).
+ * contract) and the trace the span session writes (file emission,
+ * expected span names, drops, failed writes, zero-cost-when-detached
+ * behaviour).
  */
 
 #include <cstdint>
@@ -12,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -164,8 +167,8 @@ testPhase()
 
 TEST(ObsTrace, DetachedByDefault)
 {
-    EXPECT_FALSE(obs::tracing());
-    EXPECT_EQ(obs::TraceSession::active(), nullptr);
+    EXPECT_FALSE(obs::profiling());
+    EXPECT_EQ(obs::ProfileSession::active(), nullptr);
     // Spans without a session must be harmless no-ops.
     { const obs::ScopedSpan span(testPhase()); }
     const obs::StatSnapshot before = obs::snapshot();
@@ -181,17 +184,17 @@ TEST(ObsTrace, WritesChromeTraceJson)
     const std::string path =
         testing::TempDir() + "/obs_trace_test.json";
     {
-        obs::TraceSession session(path);
-        EXPECT_TRUE(obs::tracing());
-        EXPECT_EQ(obs::TraceSession::active(), &session);
+        obs::ProfileSession session(0, path);
+        EXPECT_TRUE(obs::profiling());
+        EXPECT_EQ(obs::ProfileSession::active(), &session);
         {
             const obs::ScopedSpan outer(testPhase());
             const obs::ScopedSpan inner(std::string("dynamic-span"),
                                         testPhase());
         }
     }
-    EXPECT_FALSE(obs::tracing());
-    EXPECT_EQ(obs::TraceSession::active(), nullptr);
+    EXPECT_FALSE(obs::profiling());
+    EXPECT_EQ(obs::ProfileSession::active(), nullptr);
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -218,7 +221,7 @@ TEST(ObsTrace, BoundedBufferCountsDrops)
     const std::string path =
         testing::TempDir() + "/obs_trace_drop_test.json";
     {
-        obs::TraceSession session(path, 4);
+        obs::ProfileSession session(0, path, 4);
         for (int i = 0; i < 10; ++i) {
             const obs::ScopedSpan span(testPhase());
         }
@@ -246,7 +249,7 @@ TEST(ObsTrace, OverflowedBufferStillEmitsValidJson)
         // One event per thread for a 9-cell campaign on 4 workers:
         // pigeonhole guarantees some worker runs >= 2 cells, so its
         // second span must be dropped mid-flight.
-        obs::TraceSession session(path, 1);
+        obs::ProfileSession session(0, path, 1);
         runtime::CampaignConfig cfg;
         cfg.threads = 4;
         cfg.seed = 7;
@@ -254,7 +257,6 @@ TEST(ObsTrace, OverflowedBufferStillEmitsValidJson)
         campaign.run(tinyGrid(9));
         dropped = session.droppedEvents();
         threadsSeen = session.perThreadDrops().size();
-        EXPECT_EQ(session.eventCap(), 1u);
     }
     EXPECT_GT(dropped, 0u);
     EXPECT_GE(threadsSeen, 2u); // Driver + at least one worker.
@@ -267,6 +269,16 @@ TEST(ObsTrace, OverflowedBufferStillEmitsValidJson)
     EXPECT_FALSE(events->arr.empty());
     // The writer records each overflowed buffer as an instant marker.
     EXPECT_NE(slurp(path).find("dropped_events: "), std::string::npos);
+    // The cap of 1 held: no track kept more than one span.
+    std::vector<int> spansPerTid;
+    for (const sim::JsonValue &e : events->arr) {
+        if (e.find("ph")->str != "X")
+            continue;
+        const auto tid = static_cast<std::size_t>(e.find("tid")->num);
+        if (tid >= spansPerTid.size())
+            spansPerTid.resize(tid + 1);
+        EXPECT_LE(++spansPerTid[tid], 1) << "tid " << tid;
+    }
     std::remove(path.c_str());
 }
 
@@ -284,7 +296,7 @@ TEST(ObsTrace, TracingDoesNotPerturbCampaignResults)
         testing::TempDir() + "/obs_trace_campaign_test.json";
     std::string traced;
     {
-        obs::TraceSession session(path);
+        obs::ProfileSession session(0, path);
         runtime::Campaign campaign(cfg);
         traced = runtime::formatReport(campaign.run(tinyGrid(9)));
     }
@@ -299,6 +311,21 @@ TEST(ObsTrace, TracingDoesNotPerturbCampaignResults)
     EXPECT_NE(text.find("\"worker-0\""), std::string::npos);
     EXPECT_NE(text.find("obs/cell0"), std::string::npos);
     std::remove(path.c_str());
+}
+
+/** A trace that cannot be written completely is reported, so the
+ *  command that asked for it can fail; /dev/full accepts the open and
+ *  fails the flush. */
+TEST(ObsTrace, FailedWriteIsReported)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no writable /dev/full";
+    obs::ProfileSession session(0, "/dev/full");
+    { const obs::ScopedSpan span(testPhase()); }
+    EXPECT_FALSE(session.writeTrace());
+    // Idempotent: the second call (and the destructor's) reports the
+    // first outcome instead of writing again.
+    EXPECT_FALSE(session.writeTrace());
 }
 
 } // namespace

@@ -4,8 +4,9 @@
  * exact self-vs-inclusive accounting on nested spans under the
  * deterministic tick clock, the per-cell campaign drains (threads=4
  * == threads=1), the profile report artifact (shape, manifest,
- * byte-identical shard merge) and the merge validator's
- * profile-specific rejections (manifest/clock mismatches).
+ * byte-identical shard merge), the trace drop counts it carries, the
+ * trace and the profile counting the same spans, and the merge
+ * validator's profile-specific rejections (manifest/clock mismatches).
  *
  * Every value-level assertion runs on the tick clock: a tick session
  * advances each thread's fake clock by a fixed N ns per query, so
@@ -18,8 +19,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/profile.hh"
@@ -29,6 +32,7 @@
 #include "runtime/scenario.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
+#include "workload/defense_eval.hh"
 
 using namespace pktchase;
 using namespace pktchase::runtime;
@@ -495,8 +499,7 @@ TEST(ProfileReport, CarriesTraceDropCounts)
     const std::string profPath =
         testing::TempDir() + "/profile_drop_prof.json";
     {
-        obs::TraceSession trace(tracePath, 4);
-        obs::ProfileSession session(3);
+        obs::ProfileSession session(3, tracePath, 4);
         for (int i = 0; i < 10; ++i) {
             const obs::ScopedSpan span(outerPhase());
         }
@@ -520,6 +523,129 @@ TEST(ProfileReport, CarriesTraceDropCounts)
     const sim::JsonValue *t0 = root.find("trace.dropped.t0");
     ASSERT_NE(t0, nullptr);
     EXPECT_GE(t0->num, 6.0);
+    std::remove(tracePath.c_str());
+    std::remove(profPath.c_str());
+}
+
+/** The per-thread drop keys come in tid order, not in the order the
+ *  workers happened to attach, so a tick-clock profile stays a pure
+ *  function of the work. */
+TEST(ProfileReport, TraceDropKeysComeInTidOrder)
+{
+    const std::string tracePath =
+        testing::TempDir() + "/profile_tid_trace.json";
+    const std::string profPath =
+        testing::TempDir() + "/profile_tid_prof.json";
+    {
+        obs::ProfileSession session(3, tracePath);
+        // Workers 2, 0, 1 attach one after another: tracks 3, 1, 2.
+        for (unsigned w : {2u, 0u, 1u}) {
+            std::thread([w] {
+                obs::attachWorkerThread(w);
+                obs::detachWorkerThread();
+            }).join();
+        }
+        ASSERT_TRUE(profileReport("prof", 5, 0, ShardSpec{0, 1}, 3,
+                                  session.clockTag(), {})
+                        .write(profPath));
+    }
+    const std::string text = slurp(profPath);
+    std::size_t last = 0;
+    for (int tid = 0; tid <= 3; ++tid) {
+        const std::size_t at =
+            text.find("\"trace.dropped.t" + std::to_string(tid) + "\"");
+        ASSERT_NE(at, std::string::npos) << "t" << tid;
+        EXPECT_GT(at, last) << "t" << tid << " out of tid order";
+        last = at;
+    }
+    EXPECT_EQ(text.find("\"trace.dropped.t4\""), std::string::npos);
+    std::remove(tracePath.c_str());
+    std::remove(profPath.c_str());
+}
+
+/**
+ * The trace and the profile are one span stream: on a traced,
+ * profiled 4-worker campaign on the tick clock with nothing dropped,
+ * every phase's count in the profile report equals the trace's X
+ * events of that phase -- by name, except for the cell and task spans,
+ * which carry dynamic names and are counted by category. The grid is
+ * the registered fig7q cells (cell, nic.deliver and llc.walk spans)
+ * plus decomposed test cells (fabric.task and nested test spans).
+ */
+TEST(ProfileReport, TraceAndProfileCountTheSameSpans)
+{
+    std::vector<Scenario> grid = workload::fig7qFootprintGrid(4000);
+    for (std::size_t i = 0; i < 3; ++i) {
+        Scenario sc;
+        sc.name = "split/" + std::to_string(i);
+        sc.tasks = 4;
+        sc.runTask = [i](TaskContext &ctx) {
+            const obs::ScopedSpan outer(outerPhase());
+            for (std::size_t j = 0; j <= i + ctx.task; ++j) {
+                const obs::ScopedSpan inner(innerPhase());
+            }
+            return ScenarioResult{};
+        };
+        sc.fold = [](const std::vector<ScenarioResult> &) {
+            return ScenarioResult{};
+        };
+        grid.push_back(std::move(sc));
+    }
+
+    const std::string tracePath =
+        testing::TempDir() + "/profile_same_spans_trace.json";
+    const std::string profPath =
+        testing::TempDir() + "/profile_same_spans_prof.json";
+    {
+        obs::ProfileSession session(3, tracePath);
+        CampaignConfig cfg;
+        cfg.threads = 4;
+        cfg.seed = 11;
+        Campaign c(cfg);
+        const auto results = c.run(grid);
+        EXPECT_EQ(session.droppedEvents(), 0u);
+        ASSERT_TRUE(profileReport("same", 11, grid.size(),
+                                  ShardSpec{0, 1}, 4,
+                                  session.clockTag(), results)
+                        .write(profPath));
+        ASSERT_TRUE(session.writeTrace());
+    }
+
+    sim::JsonValue trace;
+    std::string err;
+    ASSERT_TRUE(sim::parseJsonFile(tracePath, trace, err)) << err;
+    std::map<std::string, double> byName;
+    std::map<std::string, double> byCat;
+    double spans = 0;
+    for (const sim::JsonValue &e : trace.find("traceEvents")->arr) {
+        if (e.find("ph")->str != "X")
+            continue;
+        ++byName[e.find("name")->str];
+        ++byCat[e.find("cat")->str];
+        ++spans;
+    }
+
+    sim::JsonValue prof;
+    ASSERT_TRUE(sim::parseJsonFile(profPath, prof, err)) << err;
+    const std::string suffix = ".count";
+    double counted = 0;
+    for (const auto &kv : prof.obj) {
+        const std::string &key = kv.first;
+        if (key.size() <= suffix.size() ||
+            key.compare(key.size() - suffix.size(), suffix.size(),
+                        suffix) != 0)
+            continue;
+        const std::string phase = key.substr(0, key.size() - suffix.size());
+        const bool dynamic = phase == "cell" || phase == "fabric.task";
+        EXPECT_EQ((dynamic ? byCat : byName)[phase], kv.second.num)
+            << phase;
+        counted += kv.second.num;
+    }
+    for (const char *phase : {"cell", "fabric.task", "nic.deliver",
+                              "llc.walk", "test.outer", "test.inner"})
+        EXPECT_NE(prof.find(std::string(phase) + suffix), nullptr) << phase;
+    // Every traced span belongs to one of the counted phases.
+    EXPECT_EQ(spans, counted);
     std::remove(tracePath.c_str());
     std::remove(profPath.c_str());
 }
