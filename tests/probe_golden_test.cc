@@ -12,7 +12,9 @@
  *    confusion matrix, and the raw size-class stream of one live
  *    capture (the strictest pin -- every probe round's timing feeds
  *    it);
- *  - the covert spy's decoded symbol stream and probe-round count.
+ *  - the covert spy's decoded symbol stream and probe-round count;
+ *  - the Fig. 8 size detector's per-(row, combo) activity rates at one
+ *    packet size (captured at 7f1429f).
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <string>
 
+#include "attack/size_detector.hh"
 #include "channel/capacity.hh"
 #include "channel/trojan.hh"
 #include "fingerprint/attack.hh"
@@ -56,6 +59,51 @@ const char *kGoldenCapture =
 /** Golden covert-spy decode: Ternary, 2 buffers, 40 symbols, 14 kHz. */
 constexpr std::uint64_t kGoldenSpyRounds = 268;
 const char *kGoldenSpyStream = "1122112001010120000001022222020000021200";
+
+/** Golden Fig. 8 rates: 3-block packets at 200 kpps, rows 0..3 of the
+ *  first 24 active combos, 40 ms (activity[row][combo]). */
+const double kGoldenSizeRates[4][24] = {
+    {
+        0x1.2bdce8df4d5bbp-2, 0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-3,
+        0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-3, 0x1.be9ab76d42317p-4,
+        0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.91f1a515885fbp-3, 0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.8b90595224af7p-3, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-3, 0x1.8b90595224af7p-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-4, 0x1.c4fc0330a5e1bp-3, 0x1.8b90595224af7p-4,
+        0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+    },
+    {
+        0x1.2bdce8df4d5bbp-2, 0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-3,
+        0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-3, 0x1.be9ab76d42317p-4,
+        0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.91f1a515885fbp-3, 0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.8b90595224af7p-3, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-3, 0x1.8b90595224af7p-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-4, 0x1.c4fc0330a5e1bp-3, 0x1.8b90595224af7p-4,
+        0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+    },
+    {
+        0x1.2bdce8df4d5bbp-2, 0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-3,
+        0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-3, 0x1.be9ab76d42317p-4,
+        0x1.91f1a515885fbp-3, 0x1.8b90595224af7p-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.91f1a515885fbp-3, 0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4,
+        0x1.8b90595224af7p-3, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-3, 0x1.8b90595224af7p-4, 0x1.8b90595224af7p-4,
+        0x1.8b90595224af7p-4, 0x1.c4fc0330a5e1bp-3, 0x1.8b90595224af7p-4,
+        0x1.9852f0d8ec0ffp-4, 0x1.9852f0d8ec0ffp-4, 0x1.8b90595224af7p-4,
+    },
+    {
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+        0x0p+0, 0x0p+0, 0x0p+0,
+    },
+};
 
 std::string
 digits(const std::vector<unsigned> &values)
@@ -156,4 +204,30 @@ TEST(ProbeGolden, SpySymbolStreamBitIdentical)
 
     EXPECT_EQ(listened.rounds, kGoldenSpyRounds);
     EXPECT_EQ(digits(listened.symbols()), kGoldenSpyStream);
+}
+
+TEST(ProbeGolden, SizeDetectorRatesBitIdentical)
+{
+    // Fig. 8's setup (bench_fig8_size_detection) at one packet size.
+    testbed::Testbed tb(testbed::TestbedConfig{});
+    auto combos = tb.activeCombos();
+    combos.resize(24);
+    attack::SizeDetectorConfig cfg;
+    cfg.probe.ways = tb.config().llc.geom.ways;
+    attack::SizeDetector det(tb.hier(), tb.groups(), combos, cfg);
+    net::TrafficPump pump(
+        tb.eq(), tb.driver(),
+        std::make_unique<net::ConstantStream>(3 * blockBytes, 200000.0,
+                                              0),
+        tb.eq().now() + 1000);
+    const auto rates =
+        det.measure(tb.eq(), tb.eq().now() + secondsToCycles(0.04));
+
+    ASSERT_EQ(rates.size(), 4u);
+    for (std::size_t row = 0; row < 4; ++row) {
+        ASSERT_EQ(rates[row].size(), 24u);
+        for (std::size_t c = 0; c < 24; ++c)
+            EXPECT_EQ(rates[row][c], kGoldenSizeRates[row][c])
+                << "row " << row << " combo " << c;
+    }
 }
