@@ -2,7 +2,7 @@
  * @file
  * Fig. 11: covert channel bandwidth and error rate for binary and
  * ternary encodings across probe rates {7, 14, 28} kHz: the registered
- * fig11 grid (each cell assembles its own testbed and probe-engine
+ * fig11 grid (each cell assembles its own testbed and covert
  * spy), formatted as the paper's table. `campaign fig11 --report=R`
  * writes the same cells as JSON.
  *

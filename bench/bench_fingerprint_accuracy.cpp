@@ -3,7 +3,7 @@
  * The registered fig20 fingerprint grid as a performance bench:
  * closed-world accuracy per defense cell and NIC queue count (paper
  * Sec. V: 89.7% with DDIO, 86.5% without, and ~chance once a real
- * defense is on), plus the probe-engine throughput that produced it.
+ * defense is on), plus the chase throughput that produced it.
  *
  * Emits BENCH_fingerprint.json (via sim::BenchReport) -- accuracy and
  * simulated probe rounds per cell plus host-side probe rounds/sec --

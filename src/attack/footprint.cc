@@ -25,32 +25,20 @@ FootprintScanner::FootprintScanner(cache::Hierarchy &hier,
                                    const ComboGroups &groups,
                                    std::vector<std::size_t> combos,
                                    const FootprintConfig &cfg)
-    : hier_(hier), combos_(std::move(combos)), cfg_(cfg),
-      monitor_(hier, makeSets(groups, combos_, cfg.probe.ways),
-               cfg.probe.missThreshold)
+    : combos_(std::move(combos)), cfg_(cfg)
 {
+    monitor_.emplace_back(hier, makeSets(groups, combos_, cfg.probe.ways),
+                          cfg.probe.missThreshold);
 }
 
 std::vector<ProbeSample>
 FootprintScanner::scan(EventQueue &eq, Cycles horizon)
 {
     std::vector<ProbeSample> samples;
-    const Cycles interval = secondsToCycles(1.0 / cfg_.probeRateHz);
-
-    monitor_.primeAll(eq.now());
-
-    // Self-rescheduling probe event; the shared queue interleaves any
-    // traffic pumps with the probe rounds.
-    std::function<void()> round = [&] {
-        const ProbeSample &s = monitor_.probeAll(eq.now());
-        const Cycles cost = s.end - s.start;
-        samples.push_back(s);
-        const Cycles next = eq.now() + std::max(interval, cost);
-        if (next <= horizon)
-            eq.schedule(next, round);
-    };
-    eq.schedule(eq.now(), round);
-    eq.runUntil(horizon);
+    sampleRounds(eq, monitor_, cfg_.probeRateHz, horizon,
+                 [&](std::size_t, const ProbeSample &s) {
+                     samples.push_back(s);
+                 });
     return samples;
 }
 

@@ -3,7 +3,8 @@
  * Ring-buffer cache footprint recovery (Sec. III-B, Figs. 5-7).
  *
  * The scanner probes all page-aligned combos at a configurable rate
- * while traffic flows, producing the Fig. 7 activity raster; comparing
+ * (attack::sampleRounds over one monitor) while traffic flows,
+ * producing the Fig. 7 activity raster; comparing
  * activity during idle and receiving windows identifies which combos
  * host rx buffers (the non-uniform mapping of Figs. 5-6 means ~35% of
  * page-aligned sets host none).
@@ -90,10 +91,9 @@ class FootprintScanner
     const std::vector<std::size_t> &combos() const { return combos_; }
 
   private:
-    cache::Hierarchy &hier_;
     std::vector<std::size_t> combos_;
     FootprintConfig cfg_;
-    PrimeProbeMonitor monitor_;
+    std::vector<PrimeProbeMonitor> monitor_; ///< One, over every combo.
 };
 
 } // namespace pktchase::attack

@@ -1,5 +1,7 @@
 #include "prime_probe.hh"
 
+#include <algorithm>
+
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -102,6 +104,40 @@ PrimeProbeMonitor::replaceSet(std::size_t index, EvictionSet set)
         panic("PrimeProbeMonitor::replaceSet out of range");
     sets_[index] = std::move(set);
     rebuildLines();
+}
+
+std::uint64_t
+sampleRounds(EventQueue &eq, std::vector<PrimeProbeMonitor> &monitors,
+             double rate_hz, Cycles horizon, const SampleFn &on_sample)
+{
+    static const obs::ProfilePhase kSamplePhase{"probe.sample-round",
+                                                "attack"};
+    if (monitors.empty())
+        panic("sampleRounds needs at least one monitor");
+    const Cycles interval = secondsToCycles(1.0 / rate_hz);
+
+    // Prime once; from then on each probe doubles as the re-prime.
+    for (PrimeProbeMonitor &m : monitors)
+        m.primeAll(eq.now());
+
+    std::uint64_t rounds = 0;
+    std::function<void()> round = [&] {
+        const obs::ScopedSpan span(kSamplePhase);
+        Cycles t = eq.now();
+        for (std::size_t i = 0; i < monitors.size(); ++i) {
+            const ProbeSample &s = monitors[i].probeAll(t);
+            t = s.end;
+            on_sample(i, s);
+        }
+        ++rounds;
+        const Cycles next = eq.now() + std::max(interval, t - eq.now());
+        if (next <= horizon)
+            eq.schedule(next, [&round] { round(); });
+    };
+    if (eq.now() <= horizon)
+        eq.schedule(eq.now(), [&round] { round(); });
+    eq.runUntil(horizon);
+    return rounds;
 }
 
 } // namespace pktchase::attack

@@ -9,16 +9,22 @@
  * the monitor consumes time exactly as the real attacker does, which is
  * what bounds how many sets can be watched at a given resolution
  * (Sec. III-B's "12 million cycles to access the entire cache").
+ *
+ * sampleRounds() is the one fixed-list sampling loop: the footprint
+ * scan (Sec. III-B), the covert spy (Sec. IV-b) and the Fig. 8 size
+ * detector all probe a fixed list of monitors at a rate through it.
  */
 
 #ifndef PKTCHASE_ATTACK_PRIME_PROBE_HH
 #define PKTCHASE_ATTACK_PRIME_PROBE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "attack/eviction_set.hh"
 #include "cache/hierarchy.hh"
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace pktchase::attack
@@ -57,9 +63,7 @@ class PrimeProbeMonitor
      * One probe round over every monitored set starting at @p now.
      *
      * @return A reference to the monitor's internal sample, overwritten
-     *         by the next probeAll round -- copy it to retain. Borrowed
-     *         references handed out synchronously (observer callbacks)
-     *         are safe; storing across rounds is not.
+     *         by the next probeAll round -- copy it to retain.
      */
     const ProbeSample &probeAll(Cycles now);
 
@@ -102,6 +106,26 @@ class PrimeProbeMonitor
     std::vector<std::size_t> setStart_; ///< size() + 1 offsets.
     ProbeSample sample_; ///< Reused by probeAll across rounds.
 };
+
+/** Receives one monitor's sample of a round (borrowed: copy to keep). */
+using SampleFn =
+    std::function<void(std::size_t monitor, const ProbeSample &sample)>;
+
+/**
+ * Sample a fixed monitor list at @p rate_hz until @p horizon: prime
+ * every monitor at eq.now(), then each round probes the monitors in
+ * order (one walk starting where the previous one ended), hands each
+ * sample to @p on_sample, and starts the next round max(1 / rate_hz,
+ * round cost) later while that falls at or before @p horizon. Runs
+ * @p eq to @p horizon, interleaving any traffic already scheduled.
+ * Each round is one `probe.sample-round` span.
+ *
+ * @return Rounds executed.
+ */
+std::uint64_t sampleRounds(EventQueue &eq,
+                           std::vector<PrimeProbeMonitor> &monitors,
+                           double rate_hz, Cycles horizon,
+                           const SampleFn &on_sample);
 
 } // namespace pktchase::attack
 

@@ -5,64 +5,16 @@
 namespace pktchase::attack
 {
 
-SizeClassifier::SizeClassifier(unsigned rows, std::size_t combos,
-                               std::size_t stream)
-    : stream_(stream),
-      hits_(rows, std::vector<std::uint64_t>(combos, 0))
-{
-}
-
-void
-SizeClassifier::onObservation(const ProbeObservation &obs)
-{
-    if (obs.kind != ProbeKind::Sample || obs.stream != stream_)
-        return;
-    if (obs.buffer >= hits_.size() ||
-        obs.activeCount != hits_[obs.buffer].size()) {
-        panic("SizeClassifier: observation does not match the rows");
-    }
-    for (std::size_t c = 0; c < obs.activeCount; ++c)
-        hits_[obs.buffer][c] += obs.active[c];
-    // One engine round probes every row once; count it when row 0
-    // reports.
-    if (obs.buffer == 0)
-        ++rounds_;
-}
-
-std::vector<std::vector<double>>
-SizeClassifier::rates() const
-{
-    std::vector<std::vector<double>> out(
-        hits_.size(),
-        std::vector<double>(hits_.empty() ? 0 : hits_[0].size(), 0.0));
-    if (rounds_ == 0)
-        return out;
-    for (std::size_t row = 0; row < hits_.size(); ++row)
-        for (std::size_t c = 0; c < hits_[row].size(); ++c)
-            out[row][c] = static_cast<double>(hits_[row][c]) /
-                static_cast<double>(rounds_);
-    return out;
-}
-
 namespace
 {
-
-ProbeEngineConfig
-detectorEngineConfig(const SizeDetectorConfig &cfg)
-{
-    ProbeEngineConfig ecfg;
-    ecfg.probe = cfg.probe;
-    ecfg.sampleRateHz = cfg.probeRateHz;
-    return ecfg;
-}
 
 std::vector<std::vector<EvictionSet>>
 rowSets(const ComboGroups &groups,
         const std::vector<std::size_t> &combos,
         const SizeDetectorConfig &cfg)
 {
-    if (combos.empty())
-        panic("SizeDetector needs at least one combo");
+    if (combos.empty() || cfg.rows == 0)
+        panic("SizeDetector needs at least one row and one combo");
     std::vector<std::vector<EvictionSet>> out;
     out.reserve(cfg.rows);
     for (unsigned row = 0; row < cfg.rows; ++row) {
@@ -82,18 +34,35 @@ SizeDetector::SizeDetector(cache::Hierarchy &hier,
                            const ComboGroups &groups,
                            std::vector<std::size_t> combos,
                            const SizeDetectorConfig &cfg)
-    : engine_(hier, detectorEngineConfig(cfg)),
-      classifier_(cfg.rows, combos.size())
+    : probeRateHz_(cfg.probeRateHz)
 {
-    engine_.addSampleStream(rowSets(groups, combos, cfg));
-    engine_.attach(classifier_);
+    rows_.reserve(cfg.rows);
+    for (std::vector<EvictionSet> &sets : rowSets(groups, combos, cfg))
+        rows_.emplace_back(hier, std::move(sets), cfg.probe.missThreshold);
 }
 
 std::vector<std::vector<double>>
 SizeDetector::measure(EventQueue &eq, Cycles horizon)
 {
-    engine_.run(eq, horizon);
-    return classifier_.rates();
+    const std::size_t combos = rows_[0].size();
+    std::vector<std::vector<std::uint64_t>> hits(
+        rows_.size(), std::vector<std::uint64_t>(combos, 0));
+    const std::uint64_t rounds = sampleRounds(
+        eq, rows_, probeRateHz_, horizon,
+        [&](std::size_t row, const ProbeSample &s) {
+            for (std::size_t c = 0; c < combos; ++c)
+                hits[row][c] += s.active[c];
+        });
+
+    std::vector<std::vector<double>> out(
+        rows_.size(), std::vector<double>(combos, 0.0));
+    if (rounds == 0)
+        return out;
+    for (std::size_t row = 0; row < rows_.size(); ++row)
+        for (std::size_t c = 0; c < combos; ++c)
+            out[row][c] = static_cast<double>(hits[row][c]) /
+                static_cast<double>(rounds);
+    return out;
 }
 
 std::vector<double>

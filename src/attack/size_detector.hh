@@ -9,9 +9,8 @@
  * because the driver prefetches the second block regardless of size
  * (the Fig. 8 anomaly).
  *
- * The sampling loop is an attack::ProbeEngine sample stream (one
- * monitor per row); the SizeClassifier observer accumulates per-row,
- * per-combo activity rates.
+ * The detector samples one monitor per row through attack::sampleRounds
+ * and counts, per (row, combo), the rounds in which the set fired.
  */
 
 #ifndef PKTCHASE_ATTACK_SIZE_DETECTOR_HH
@@ -20,7 +19,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "attack/probe_engine.hh"
+#include "attack/eviction_set.hh"
+#include "attack/prime_probe.hh"
+#include "attack/probe_params.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -38,35 +39,6 @@ struct SizeDetectorConfig
 };
 
 /**
- * ProbeEngine observer that accumulates per-(row, combo) activity
- * counts from a sample stream whose monitors are block rows.
- */
-class SizeClassifier : public ProbeObserver
-{
-  public:
-    /**
-     * @param rows   Number of row monitors in the stream.
-     * @param combos Sets per row monitor (the monitored combo count).
-     * @param stream Engine stream id to listen to.
-     */
-    SizeClassifier(unsigned rows, std::size_t combos,
-                   std::size_t stream = 0);
-
-    void onObservation(const ProbeObservation &obs) override;
-
-    /** Full rounds observed so far. */
-    std::uint64_t rounds() const { return rounds_; }
-
-    /** activity[row][combo] as a fraction of observed rounds. */
-    std::vector<std::vector<double>> rates() const;
-
-  private:
-    std::size_t stream_;
-    std::vector<std::vector<std::uint64_t>> hits_;
-    std::uint64_t rounds_ = 0;
-};
-
-/**
  * Probes block rows of the monitored combos and reports per-row and
  * per-(row, combo) activity rates.
  */
@@ -79,7 +51,6 @@ class SizeDetector
 
     /**
      * Probe until @p horizon (traffic already scheduled on @p eq).
-     * Call once per detector.
      * @return activity[row][combo] as a fraction of probe rounds.
      */
     std::vector<std::vector<double>> measure(EventQueue &eq,
@@ -90,8 +61,8 @@ class SizeDetector
     rowActivity(const std::vector<std::vector<double>> &m);
 
   private:
-    ProbeEngine engine_;
-    SizeClassifier classifier_;
+    double probeRateHz_;
+    std::vector<PrimeProbeMonitor> rows_; ///< Monitor r: row r's sets.
 };
 
 } // namespace pktchase::attack

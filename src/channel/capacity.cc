@@ -253,7 +253,7 @@ runChasingChannel(testbed::Testbed &tb, const ChasingChannelConfig &cfg)
                      cfg.seed ^ 0x9999u);
     noise.start(tb.eq(), horizon);
 
-    attack::ProbeEngineConfig ch_cfg;
+    attack::ChaseConfig ch_cfg;
     ch_cfg.probe.ways = tb.config().llc.geom.ways;
     ch_cfg.probeInterval = std::max<Cycles>(
         500, secondsToCycles(1.0 / symbol_rate) / 4);

@@ -17,50 +17,8 @@ ListenResult::symbols() const
     return out;
 }
 
-SpyDecoder::SpyDecoder(Scheme scheme, unsigned decode_window,
-                       std::size_t buffers, std::size_t stream)
-    : scheme_(scheme), decodeWindow_(decode_window), stream_(stream),
-      raw_(buffers)
-{
-}
-
-void
-SpyDecoder::onObservation(const attack::ProbeObservation &obs)
-{
-    if (obs.kind != attack::ProbeKind::Sample ||
-        obs.stream != stream_) {
-        return;
-    }
-    if (obs.buffer >= raw_.size() || obs.activeCount < 3)
-        panic("SpyDecoder: observation does not look like a spy round");
-    raw_[obs.buffer].push_back(RawSample{obs.when, obs.active[0] != 0,
-                                         obs.active[1] != 0,
-                                         obs.active[2] != 0});
-    // One engine round probes every buffer once; count it when the
-    // first buffer reports.
-    if (obs.buffer == 0)
-        ++rounds_;
-}
-
-ListenResult
-SpyDecoder::result() const
-{
-    ListenResult out;
-    out.rounds = rounds_;
-    for (std::size_t b = 0; b < raw_.size(); ++b) {
-        std::vector<SymbolEvent> events = decodeBuffer(b, raw_[b]);
-        out.events.insert(out.events.end(), events.begin(),
-                          events.end());
-    }
-    std::sort(out.events.begin(), out.events.end(),
-              [](const SymbolEvent &a, const SymbolEvent &b) {
-                  return a.when < b.when;
-              });
-    return out;
-}
-
 std::vector<SymbolEvent>
-SpyDecoder::decodeBuffer(std::size_t buffer,
+CovertSpy::decodeBuffer(std::size_t buffer,
                          const std::vector<RawSample> &samples) const
 {
     // Group consecutive clock-active samples into one packet event and
@@ -75,7 +33,7 @@ SpyDecoder::decodeBuffer(std::size_t buffer,
         }
         bool b2 = false, b3 = false;
         const std::size_t end =
-            std::min(samples.size(), i + decodeWindow_);
+            std::min(samples.size(), i + cfg_.decodeWindow);
         std::size_t j = i;
         for (; j < end && samples[j].clock; ++j) {
             b2 |= samples[j].b2;
@@ -95,15 +53,6 @@ SpyDecoder::decodeBuffer(std::size_t buffer,
 
 namespace
 {
-
-attack::ProbeEngineConfig
-spyEngineConfig(const SpyConfig &cfg)
-{
-    attack::ProbeEngineConfig ecfg;
-    ecfg.probe = cfg.probe;
-    ecfg.sampleRateHz = cfg.probeRateHz;
-    return ecfg;
-}
 
 std::vector<std::vector<attack::EvictionSet>>
 spyBufferSets(const attack::ComboGroups &groups,
@@ -132,19 +81,37 @@ CovertSpy::CovertSpy(cache::Hierarchy &hier,
                      const attack::ComboGroups &groups,
                      std::vector<std::size_t> buffer_combos,
                      Scheme scheme, const SpyConfig &cfg)
-    : engine_(hier, spyEngineConfig(cfg)),
-      decoder_(scheme, cfg.decodeWindow, buffer_combos.size())
+    : scheme_(scheme), cfg_(cfg)
 {
-    engine_.addSampleStream(
-        spyBufferSets(groups, buffer_combos, cfg.probe.ways));
-    engine_.attach(decoder_);
+    std::vector<std::vector<attack::EvictionSet>> sets =
+        spyBufferSets(groups, buffer_combos, cfg.probe.ways);
+    buffers_.reserve(sets.size());
+    for (std::vector<attack::EvictionSet> &s : sets)
+        buffers_.emplace_back(hier, std::move(s), cfg.probe.missThreshold);
 }
 
 ListenResult
 CovertSpy::listen(EventQueue &eq, Cycles horizon)
 {
-    engine_.run(eq, horizon);
-    return decoder_.result();
+    std::vector<std::vector<RawSample>> raw(buffers_.size());
+    ListenResult out;
+    out.rounds = attack::sampleRounds(
+        eq, buffers_, cfg_.probeRateHz, horizon,
+        [&](std::size_t b, const attack::ProbeSample &s) {
+            raw[b].push_back(RawSample{s.start, s.active[0] != 0,
+                                       s.active[1] != 0,
+                                       s.active[2] != 0});
+        });
+    for (std::size_t b = 0; b < raw.size(); ++b) {
+        std::vector<SymbolEvent> events = decodeBuffer(b, raw[b]);
+        out.events.insert(out.events.end(), events.begin(),
+                          events.end());
+    }
+    std::sort(out.events.begin(), out.events.end(),
+              [](const SymbolEvent &a, const SymbolEvent &b) {
+                  return a.when < b.when;
+              });
+    return out;
 }
 
 } // namespace pktchase::channel

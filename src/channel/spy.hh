@@ -9,13 +9,12 @@
  * decode window of three samples absorbs wide peaks (one packet's
  * activity spanning two samples) and arrival skew.
  *
- * The sampling loop is an attack::ProbeEngine sample stream; the
- * SpyDecoder observer turns the raw (clock, b2, b3) sample train into
- * the symbol stream. CovertSpy bundles the two behind the original
- * listen() front-end. The monitored combos are plain LLC sets, so the
- * spy works unchanged on a multi-queue NIC -- RSS pins the trojan's
- * flow to one ring, and whichever ring that is, its buffers' sets
- * light up the same way.
+ * listen() samples one monitor per buffer through attack::sampleRounds,
+ * records each buffer's raw (clock, b2, b3) sample train, and decodes
+ * the trains into the symbol stream. The monitored combos are plain
+ * LLC sets, so the spy works unchanged on a multi-queue NIC as long as
+ * they host buffers of the ring RSS steers the trojan's flow to
+ * (pickMonitoredBuffers picks them there).
  */
 
 #ifndef PKTCHASE_CHANNEL_SPY_HH
@@ -24,7 +23,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "attack/probe_engine.hh"
+#include "attack/eviction_set.hh"
+#include "attack/prime_probe.hh"
+#include "attack/probe_params.hh"
 #include "channel/encoding.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
@@ -62,47 +63,6 @@ struct ListenResult
 };
 
 /**
- * ProbeEngine observer that records each monitored buffer's raw
- * (clock, b2, b3) sample train and decodes it into symbol events.
- */
-class SpyDecoder : public attack::ProbeObserver
-{
-  public:
-    /**
-     * @param scheme        Expected alphabet.
-     * @param decode_window Samples ORed per symbol.
-     * @param buffers       Number of monitored buffers.
-     * @param stream        Engine stream id to listen to.
-     */
-    SpyDecoder(Scheme scheme, unsigned decode_window,
-               std::size_t buffers, std::size_t stream = 0);
-
-    void onObservation(const attack::ProbeObservation &obs) override;
-
-    /** Decode everything recorded so far into a time-ordered result. */
-    ListenResult result() const;
-
-  private:
-    /** Raw per-buffer samples: (time, clock, b2, b3). */
-    struct RawSample
-    {
-        Cycles when;
-        bool clock, b2, b3;
-    };
-
-    Scheme scheme_;
-    unsigned decodeWindow_;
-    std::size_t stream_;
-    std::vector<std::vector<RawSample>> raw_;
-    std::uint64_t rounds_ = 0;
-
-    /** Decode one buffer's sample train into symbol events. */
-    std::vector<SymbolEvent>
-    decodeBuffer(std::size_t buffer,
-                 const std::vector<RawSample> &samples) const;
-};
-
-/**
  * Samples the monitored buffers and decodes the symbol stream.
  */
 class CovertSpy
@@ -122,13 +82,26 @@ class CovertSpy
 
     /**
      * Sample until @p horizon (traffic pumps already scheduled on
-     * @p eq), then decode. Call once per spy.
+     * @p eq), then decode.
      */
     ListenResult listen(EventQueue &eq, Cycles horizon);
 
   private:
-    attack::ProbeEngine engine_;
-    SpyDecoder decoder_;
+    /** One buffer's probe round: (time, clock, b2, b3). */
+    struct RawSample
+    {
+        Cycles when;
+        bool clock, b2, b3;
+    };
+
+    /** Decode one buffer's sample train into symbol events. */
+    std::vector<SymbolEvent>
+    decodeBuffer(std::size_t buffer,
+                 const std::vector<RawSample> &samples) const;
+
+    Scheme scheme_;
+    SpyConfig cfg_;
+    std::vector<attack::PrimeProbeMonitor> buffers_; ///< One per buffer.
 };
 
 } // namespace pktchase::channel

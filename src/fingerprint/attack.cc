@@ -68,7 +68,7 @@ FingerprintAttack::captureVisit(std::size_t site, Rng &rng)
                           start + 1000, cfg_.arrivalJitterSigma,
                           rng.next());
 
-    attack::ProbeEngineConfig ch;
+    attack::ChaseConfig ch;
     ch.probe.ways = tb_.config().llc.geom.ways;
     ch.probeInterval = std::max<Cycles>(
         500, secondsToCycles(1.0 / cfg_.visitRatePps) / 4);

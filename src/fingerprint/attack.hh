@@ -13,8 +13,8 @@
  *
  * On a multi-queue NIC the page load's connections are RSS-spread
  * across receive queues; the spy runs one chase cursor per queue
- * (attack::ProbeEngine) and classifies the arrival-ordered merge of
- * every queue's observations. With queues == 1 the capture pipeline is
+ * (attack::ChasingMonitor) and classifies the arrival-ordered merge of
+ * every queue's packets. With queues == 1 the capture pipeline is
  * bit-identical to the paper's single-ring chase
  * (tests/probe_golden_test.cc).
  */

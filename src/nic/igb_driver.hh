@@ -129,7 +129,7 @@ class RxQueue
      * Per-queue delivery observer: called for every frame this queue
      * receives, after the driver finished processing it, with the
      * ring slot that was filled and the arrival cycle. Harnesses use
-     * the tap as per-queue ground truth (e.g. scoring a probe-engine
+     * the tap as per-queue ground truth (e.g. scoring a packet
      * chase against what each ring actually received); taps must not
      * mutate driver state.
      */

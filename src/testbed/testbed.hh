@@ -134,7 +134,7 @@ class Testbed
      * Chase-ready sequences: queueComboSequences() with each queue's
      * sequence rotated so slot 0 is the slot that ring will fill
      * next. What a spy that has tracked every ring since setup would
-     * feed attack::ProbeEngine chase streams.
+     * hand attack::ChasingMonitor, one chase cursor per queue.
      */
     std::vector<std::vector<std::size_t>> chaseSequences() const;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Attacker-side scenario grids for the parallel campaign runtime: the
- * probe-engine experiments (covert channel, packet-chasing channel,
+ * attacker experiments (covert channel, packet-chasing channel,
  * web fingerprinting) as runtime::Scenario cells, next to the
  * defense-side grids of defense_eval.hh.
  *

@@ -143,11 +143,11 @@ TEST(Integration, ChasingObservesSizesInOrder)
         std::make_unique<net::ReplayStream>(frames, 50000.0),
         tb.eq().now() + 1000);
 
-    ProbeEngineConfig cfg;
+    ChaseConfig cfg;
     cfg.probe.ways = tb.config().llc.geom.ways;
     cfg.probeInterval = 5000;
     ChasingMonitor chaser(tb.hier(), tb.groups(),
-                          tb.ringComboSequence(), cfg);
+                          tb.queueComboSequences(), cfg);
     const ChaseResult r =
         chaser.chase(tb.eq(), tb.eq().now() + secondsToCycles(0.03));
 

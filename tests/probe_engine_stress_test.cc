@@ -1,13 +1,12 @@
 /**
  * @file
- * Probe-engine campaign stress for the ThreadSanitizer CI job: the
- * attacker grids (multi-queue chasing channel + covert-spy sample
- * streams + a fingerprint cell) executed on 4 worker threads must be
- * race-free and merge bit-identically to the single-threaded run.
- * Each worker drives full testbeds through ProbeEngine chase and
- * sample streams concurrently, so the engine's scheduling, observer
- * fan-out, and arrival-ordered merge run under the campaign runtime's
- * real concurrency.
+ * Attacker campaign stress for the ThreadSanitizer CI job: the
+ * attacker grids (multi-queue chasing channel + covert spy + a
+ * fingerprint cell) executed on 4 worker threads must be race-free and
+ * merge bit-identically to the single-threaded run. Each worker drives
+ * full testbeds through the chase cursors and the sampling loop
+ * concurrently, so their scheduling and the arrival-ordered merge run
+ * under the campaign runtime's real concurrency.
  */
 
 #include <gtest/gtest.h>
@@ -57,7 +56,7 @@ stressGrid()
 
 } // namespace
 
-TEST(ProbeEngineCampaign, FourThreadMergeBitIdenticalToSerial)
+TEST(AttackerCampaign, FourThreadMergeBitIdenticalToSerial)
 {
     runtime::SweepOptions parallel;
     parallel.threads = 4;
@@ -78,7 +77,7 @@ TEST(ProbeEngineCampaign, FourThreadMergeBitIdenticalToSerial)
             << par[i].name;
         for (std::size_t m = 0; m < par[i].metrics.size(); ++m) {
             EXPECT_EQ(par[i].metrics[m].first, ref[i].metrics[m].first);
-            // Bit-exact merge: probe-engine streams must not leak
+            // Bit-exact merge: the attackers must not leak
             // nondeterminism into the campaign.
             EXPECT_EQ(par[i].metrics[m].second,
                       ref[i].metrics[m].second)

@@ -1,20 +1,22 @@
 /**
  * @file
- * Bit-exactness guards for the ProbeEngine refactor (ctest label
- * `golden`): the queues:1 attacker pipeline must reproduce the
- * pre-engine monolithic loops load for load. The goldens below were
- * captured at ee565e6 (the commit preceding the refactor) by running
- * the then-monolithic ChasingMonitor / CovertSpy / FingerprintAttack
- * with exactly these configurations.
+ * Bit-exactness guards for the attacker pipeline (ctest label
+ * `golden`): at queues:1 the chase cursors and the shared sampling
+ * loop must reproduce, load for load, the monolithic loops the goldens
+ * were captured from. The fingerprint and spy goldens were captured at
+ * ee565e6 by running the then-monolithic ChasingMonitor / CovertSpy /
+ * FingerprintAttack with exactly these configurations; the size
+ * detector's at 7f1429f, before its sampling moved into
+ * attack::sampleRounds.
  *
- * Two pins:
+ * Three pins:
  *  - the closed-world fingerprint evaluation: accuracy, the full
  *    confusion matrix, and the raw size-class stream of one live
  *    capture (the strictest pin -- every probe round's timing feeds
  *    it);
  *  - the covert spy's decoded symbol stream and probe-round count;
  *  - the Fig. 8 size detector's per-(row, combo) activity rates at one
- *    packet size (captured at 7f1429f).
+ *    packet size.
  */
 
 #include <gtest/gtest.h>
@@ -144,7 +146,7 @@ TEST(ProbeGolden, FingerprintConfusionMatrixBitIdentical)
     }
 
     // The strictest pin: the raw recovered size-class stream of a
-    // live capture depends on every probe round the engine scheduled.
+    // live capture depends on every probe round the chase scheduled.
     Rng rng(99);
     EXPECT_EQ(digits(atk.captureVisit(0, rng)), kGoldenCapture);
 }
