@@ -36,8 +36,8 @@ Sequencer::collectSamples(EventQueue &eq, PrimeProbeMonitor &monitor)
     };
     eq.schedule(eq.now(), round);
 
-    // Run until the sampler stops rescheduling itself. A generous
-    // horizon guards against an empty traffic schedule.
+    // Step the queue until the sampler has nSamples rounds; it
+    // stops rescheduling itself at the last one.
     while (samples.size() < cfg_.nSamples && !eq.empty())
         eq.step();
     return samples;
@@ -246,14 +246,14 @@ FullRingRecovery::recover(EventQueue &eq)
     master.reserve(active_.size() + 16);
     for (int node : base.sequence)
         master.push_back(placed[static_cast<std::size_t>(node)]);
-    if (master.size() < 2)
-        return master;
 
     // Extension rounds: 31 placed combos (spread around the current
     // master so the candidate gets bracketed tightly) plus the
     // candidate, re-sampled; the candidate is inserted after its
-    // observed predecessor.
-    for (std::size_t ci = window; ci < active_.size(); ++ci) {
+    // observed predecessor. A base of fewer than two nodes cannot
+    // bracket anything.
+    for (std::size_t ci = window; master.size() >= 2 && ci < active_.size();
+         ++ci) {
         const std::size_t cand = active_[ci];
 
         std::vector<std::size_t> monitor;
@@ -274,7 +274,6 @@ FullRingRecovery::recover(EventQueue &eq)
 
         // Locate the candidate and its predecessor in the
         // sub-sequence.
-        bool inserted = false;
         for (std::size_t i = 0; i < sub.sequence.size(); ++i) {
             if (sub.sequence[i] != cand_node)
                 continue;
@@ -291,15 +290,18 @@ FullRingRecovery::recover(EventQueue &eq)
             // the candidate right after pred is the tightest bound
             // the observation supports.)
             auto it = std::find(master.begin(), master.end(), pred);
-            if (it != master.end()) {
+            if (it != master.end())
                 master.insert(it + 1, cand);
-                inserted = true;
-            }
             break;
         }
-        if (!inserted)
-            unplaced_.push_back(cand);
     }
+
+    // Unplaced: every active combo the result lacks, first-window
+    // combos the base sequence missed included.
+    unplaced_.clear();
+    for (std::size_t c : active_)
+        if (std::find(master.begin(), master.end(), c) == master.end())
+            unplaced_.push_back(c);
     return master;
 }
 

@@ -154,7 +154,10 @@ class FullRingRecovery
      */
     std::vector<std::size_t> recover(EventQueue &eq);
 
-    /** Combos that could not be placed (insufficient signal). */
+    /**
+     * Active combos the last recover() did not place (insufficient
+     * signal), in active order: with the result, every active combo.
+     */
     const std::vector<std::size_t> &unplaced() const { return unplaced_; }
 
   private:

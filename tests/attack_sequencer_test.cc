@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "attack/sequencer.hh"
 #include "net/traffic.hh"
@@ -213,4 +215,27 @@ TEST(FullRingRecovery, PlacesNearlyAllCombosExactlyOnce)
         ++counts[c];
     for (std::size_t ci = 32; ci < active.size(); ++ci)
         EXPECT_LE(counts[active[ci]], 1u);
+}
+
+TEST(FullRingRecovery, UnplacedListsEveryActiveComboNotPlaced)
+{
+    // An idle ring gives the first window too little signal to seed
+    // the extension rounds; every active combo the result lacks must
+    // still be reported as unplaced.
+    testbed::Testbed tb(testbed::TestbedConfig{});
+    auto active = tb.activeCombos();
+    active.resize(40);
+    SequencerConfig cfg;
+    cfg.nSamples = 2000;
+    cfg.probe.ways = tb.config().llc.geom.ways;
+    FullRingRecovery rec(tb.hier(), tb.groups(), active, cfg);
+    const auto master = rec.recover(tb.eq());
+
+    std::set<std::size_t> covered(master.begin(), master.end());
+    for (std::size_t c : rec.unplaced()) {
+        EXPECT_EQ(std::count(master.begin(), master.end(), c), 0)
+            << "combo " << c << " is both placed and unplaced";
+        covered.insert(c);
+    }
+    EXPECT_EQ(covered, std::set<std::size_t>(active.begin(), active.end()));
 }
