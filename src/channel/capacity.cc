@@ -67,6 +67,13 @@ class CacheNoise
     std::function<void()> step_;
 };
 
+/** The receive queue RSS steers the trojan's flow to. */
+std::size_t
+trojanQueue(testbed::Testbed &tb)
+{
+    return tb.driver().rss().queueFor(TrojanSource::kFlow);
+}
+
 /** Map an observed chasing size class onto a symbol. */
 unsigned
 symbolFromClass(Scheme scheme, unsigned cls)
@@ -100,15 +107,17 @@ testSymbols(Scheme scheme, std::size_t count, std::size_t offset)
 std::vector<std::size_t>
 pickMonitoredBuffers(testbed::Testbed &tb, std::size_t n)
 {
-    const std::vector<std::size_t> ring = tb.ringComboSequence();
-    const std::vector<std::size_t> singles = tb.singleBufferCombos();
+    const std::vector<std::size_t> ring =
+        tb.ringComboSequence(trojanQueue(tb));
     if (n == 0 || n > ring.size())
         fatal("pickMonitoredBuffers: bad buffer count");
 
-    std::vector<bool> is_single(
-        tb.config().llc.geom.pageAlignedCombos(), false);
-    for (std::size_t c : singles)
-        is_single[c] = true;
+    // Single-mapped within the trojan's ring: the other rings see no
+    // trojan traffic, so their buffers cannot blur the signal.
+    std::vector<unsigned> count(tb.config().llc.geom.pageAlignedCombos(),
+                                0);
+    for (std::size_t c : ring)
+        ++count[c];
 
     std::vector<std::size_t> chosen;
     std::vector<bool> used(ring.size(), false);
@@ -118,7 +127,7 @@ pickMonitoredBuffers(testbed::Testbed &tb, std::size_t n)
         // unused slot.
         for (std::size_t d = 0; d < ring.size(); ++d) {
             const std::size_t fwd = (target + d) % ring.size();
-            if (!used[fwd] && is_single[ring[fwd]]) {
+            if (!used[fwd] && count[ring[fwd]] == 1) {
                 chosen.push_back(ring[fwd]);
                 used[fwd] = true;
                 break;
@@ -135,7 +144,7 @@ runCovertChannel(testbed::Testbed &tb, const ChannelRunConfig &cfg)
 {
     const std::vector<unsigned> sent = testSymbols(
         cfg.scheme, cfg.nSymbols, cfg.symbolOffset);
-    const std::size_t ring = tb.driver().ring().size();
+    const std::size_t ring = tb.driver().ring(trojanQueue(tb)).size();
     const std::size_t pps = ring / cfg.monitoredBuffers;
 
     const std::vector<std::size_t> buffers =

@@ -109,8 +109,9 @@ ChannelMeasurement runChasingChannel(testbed::Testbed &tb,
                                      const ChasingChannelConfig &cfg);
 
 /**
- * Pick @p n monitored buffers: ring positions roughly ring/n apart
- * whose combos host exactly one buffer (Sec. IV-c). Exposed for tests.
+ * Pick @p n monitored buffers in the trojan queue's ring: positions
+ * roughly ring/n apart whose combos host exactly one of that ring's
+ * buffers (Sec. IV-c). Exposed for tests.
  *
  * @return Chosen combos, in ring order.
  */

@@ -27,6 +27,7 @@ TrojanSource::next(nic::Frame &frame, Cycles &gap)
     const unsigned symbol = symbols_[symbolIndex_];
     frame.bytes = frameBytes(scheme_, symbol);
     frame.protocol = nic::Protocol::Unknown; // plain broadcast frames
+    frame.flow = kFlow;
     frame.id = nextId_++;
 
     const double rate = (ratePps_ <= 0.0)

@@ -37,6 +37,10 @@ class TrojanSource : public net::TrafficSource
     TrojanSource(std::vector<unsigned> symbols, Scheme scheme,
                  std::size_t packets_per_symbol, double rate_pps = 0.0);
 
+    /** Flow id of every trojan frame: one connection, so RSS steers
+     *  the whole transmission to one receive queue. */
+    static constexpr std::uint32_t kFlow = 0;
+
     bool next(nic::Frame &frame, Cycles &gap) override;
 
     /** Symbols fully transmitted so far. */

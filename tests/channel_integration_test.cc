@@ -107,6 +107,23 @@ TEST(CovertChannel, MultiBufferScalesBandwidth)
     EXPECT_LT(four.errorRate, 0.15);
 }
 
+TEST(CovertChannel, MultiBufferWorksOnMultiQueueNic)
+{
+    // RSS steers the trojan's one flow to one queue; every monitored
+    // buffer must sit in that queue's ring.
+    testbed::TestbedConfig tcfg;
+    tcfg.nicSpec = "nic.queues:4";
+    testbed::Testbed tb(tcfg);
+    ChannelRunConfig cfg;
+    cfg.scheme = Scheme::Ternary;
+    cfg.nSymbols = 64;
+    cfg.monitoredBuffers = 4;
+    const ChannelMeasurement m = runCovertChannel(tb, cfg);
+    EXPECT_EQ(m.sent, 64u);
+    EXPECT_EQ(m.received, 64u);
+    EXPECT_EQ(m.errorRate, 0.0);
+}
+
 TEST(CovertChannel, AdaptivePartitionClosesChannel)
 {
     testbed::TestbedConfig tcfg;
