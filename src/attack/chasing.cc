@@ -144,8 +144,7 @@ ChasingMonitor::chase(EventQueue &eq, Cycles horizon)
     // Cursors start in queue order at the same cycle; the event
     // queue's FIFO tie-break keeps the round interleaving -- and hence
     // the merged packet order -- deterministic.
-    for (std::size_t q = 0; q < cursors_.size() && eq.now() <= horizon;
-         ++q) {
+    for (std::size_t q = 0; q < cursors_.size(); ++q) {
         cursors_[q].lastActivity = eq.now();
         eq.schedule(eq.now(), [this, q] { probeRound(q); });
     }

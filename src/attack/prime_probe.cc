@@ -134,8 +134,7 @@ sampleRounds(EventQueue &eq, std::vector<PrimeProbeMonitor> &monitors,
         if (next <= horizon)
             eq.schedule(next, [&round] { round(); });
     };
-    if (eq.now() <= horizon)
-        eq.schedule(eq.now(), [&round] { round(); });
+    eq.schedule(eq.now(), [&round] { round(); });
     eq.runUntil(horizon);
     return rounds;
 }
