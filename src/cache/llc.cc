@@ -231,9 +231,9 @@ Llc::cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
     const std::uint64_t conflicts0 = stats_.ioEvictedByCpu;
     cpuFill(gset, tag, dirty);
     if (telem_) {
-        telem_->cpuAccess(sliceOf(gset), false, now);
+        telem_->cpuAccess(false, now);
         if (stats_.ioEvictedByCpu != conflicts0)
-            telem_->ioLineConflict(sliceOf(gset), now);
+            telem_->ioLineConflict(now);
     }
 }
 
@@ -251,7 +251,7 @@ Llc::cpuRead(Addr paddr, Cycles now)
     if (way >= 0) {
         lru_.touch(gset, static_cast<unsigned>(way));
         if (telem_)
-            telem_->cpuAccess(sliceOf(gset), true, now);
+            telem_->cpuAccess(true, now);
         return true;
     }
     ++stats_.cpuReadMisses;
@@ -286,7 +286,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
             cpuFill(gset, tag, true);
             --stats_.memReads; // on-chip move, not a demand fill
             if (telem_)
-                telem_->cpuAccess(sliceOf(gset), true, now);
+                telem_->cpuAccess(true, now);
             return true;
         }
         // A CPU write to a DDIO line takes ownership (the driver copied
@@ -296,7 +296,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         m = kDirty;
         lru_.touch(gset, static_cast<unsigned>(way));
         if (telem_)
-            telem_->cpuAccess(sliceOf(gset), true, now);
+            telem_->cpuAccess(true, now);
         return true;
     }
     ++stats_.cpuWriteMisses;
@@ -315,7 +315,6 @@ Llc::ioWrite(Addr paddr, Cycles now)
         policy_->onAccess(*this, gset, now);
 
     const std::uint64_t allocs0 = stats_.ioAllocations;
-    const std::uint64_t displaced0 = stats_.cpuEvictedByIo;
 
     const int way = findWay(gset, tag);
     if (way >= 0) {
@@ -335,18 +334,13 @@ Llc::ioWrite(Addr paddr, Cycles now)
             m = kDirty | kIo;
             lru_.touch(gset, static_cast<unsigned>(way));
         }
-        if (telem_ && stats_.ioAllocations != allocs0) {
-            telem_->ioInjection(sliceOf(gset),
-                                stats_.cpuEvictedByIo != displaced0,
-                                now);
-        }
+        if (telem_ && stats_.ioAllocations != allocs0)
+            telem_->ioInjection(now);
         return;
     }
     ioFill(gset, tag);
-    if (telem_) {
-        telem_->ioInjection(sliceOf(gset),
-                            stats_.cpuEvictedByIo != displaced0, now);
-    }
+    if (telem_)
+        telem_->ioInjection(now);
 }
 
 void

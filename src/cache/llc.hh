@@ -172,13 +172,6 @@ class Llc
     /** The attached telemetry probe, or nullptr. */
     LlcTelemetry *telemetry() const { return telem_; }
 
-    /** Slice group (slice index) of global set @p gset. */
-    unsigned
-    sliceOf(std::size_t gset) const
-    {
-        return static_cast<unsigned>(gset / cfg_.geom.setsPerSlice);
-    }
-
     // ------------------------------------------------------------------
     // Injection-policy mutation surface: policies rearrange set
     // contents only through these, so the writeback and partition

@@ -3,17 +3,18 @@
  * LLC-side telemetry hook interface.
  *
  * The Llc holds a nullable LlcTelemetry pointer and reports three
- * event kinds to it, tagged with the slice group (= slice index) they
- * occurred in and the access timestamp:
+ * event kinds to it, each with the access timestamp:
  *
  *  - cpuAccess:    every CPU read/write, with its hit/miss outcome
  *                  (the PMU's LLC-references / LLC-misses pair);
- *  - ioInjection:  every DDIO allocation, flagged when it displaced a
- *                  CPU line (the Packet Chasing leak direction);
+ *  - ioInjection:  every DDIO allocation;
  *  - ioLineConflict: a CPU demand fill displaced an I/O line -- the
  *                  signature of PRIME+PROBE priming over the ring
  *                  buffers' eviction sets, the counter the
  *                  ProbeCadence detector autocorrelates.
+ *
+ * A probe rolls its epoch on every event, so an injection moves the
+ * epoch boundary even where the probe counts nothing for it.
  *
  * When the pointer is null (the default) the Llc performs no
  * telemetry work at all: same loads, same RNG draws, same statistics
@@ -34,18 +35,14 @@ class LlcTelemetry
   public:
     virtual ~LlcTelemetry() = default;
 
-    /** CPU access in slice group @p group; @p hit is the outcome. */
-    virtual void cpuAccess(unsigned group, bool hit, Cycles now) = 0;
+    /** A CPU access; @p hit is the outcome. */
+    virtual void cpuAccess(bool hit, Cycles now) = 0;
 
-    /**
-     * DDIO allocation in @p group; @p displaced_cpu_line when the fill
-     * evicted a CPU line to make room.
-     */
-    virtual void ioInjection(unsigned group, bool displaced_cpu_line,
-                             Cycles now) = 0;
+    /** A DDIO allocation. */
+    virtual void ioInjection(Cycles now) = 0;
 
-    /** A CPU fill displaced an I/O line in @p group. */
-    virtual void ioLineConflict(unsigned group, Cycles now) = 0;
+    /** A CPU fill displaced an I/O line. */
+    virtual void ioLineConflict(Cycles now) = 0;
 };
 
 } // namespace pktchase::cache

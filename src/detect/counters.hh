@@ -7,13 +7,14 @@
  * completed epoch. Epochs roll lazily, driven by the timestamps
  * of the events themselves (there is no timer agent in the model), so
  * a probe can only notice an epoch boundary when the next event
- * arrives; the final partial epoch of a run is published by flush().
+ * arrives; every hook rolls, whether or not it counts anything, and
+ * the last partial epoch of a run is never published.
  *
  * The LLC probe zero-fills empty epochs (bounded by kMaxCatchUp) so
  * its per-epoch series is uniformly sampled -- the cadence detector's
  * autocorrelation lags are only meaningful on a uniform grid. The
- * per-queue recycle probe does not: its consumers score sample values,
- * not sample spacing, and a queue can be legitimately idle for long
+ * recycle probe does not: entropy-drop scores sample values, not
+ * sample spacing, and a NIC can be legitimately idle for long
  * stretches.
  */
 
@@ -21,8 +22,6 @@
 #define PKTCHASE_DETECT_COUNTERS_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "cache/telemetry.hh"
 #include "detect/sample.hh"
@@ -42,18 +41,12 @@ class LlcCounterProbe : public cache::LlcTelemetry
     /**
      * @param sink         Where the samples go.
      * @param epoch_cycles Epoch width in cycles (nonzero).
-     * @param groups       Slice-group count (the LLC geometry's slices).
      */
-    LlcCounterProbe(SampleSink &sink, Cycles epoch_cycles,
-                    unsigned groups);
+    LlcCounterProbe(SampleSink &sink, Cycles epoch_cycles);
 
-    void cpuAccess(unsigned group, bool hit, Cycles now) override;
-    void ioInjection(unsigned group, bool displaced_cpu_line,
-                     Cycles now) override;
-    void ioLineConflict(unsigned group, Cycles now) override;
-
-    /** Publish the current partial epoch, if it saw any event. */
-    void flush(Cycles now);
+    void cpuAccess(bool hit, Cycles now) override;
+    void ioInjection(Cycles now) override;
+    void ioLineConflict(Cycles now) override;
 
   private:
     /**
@@ -65,36 +58,24 @@ class LlcCounterProbe : public cache::LlcTelemetry
     void
     roll(Cycles now)
     {
-        if (now < epochEnd_)
-            return;
-        rollSlow(now);
+        if (now >= epochEnd_)
+            rollSlow(now);
     }
 
     void rollSlow(Cycles now);
-    void publishEpoch(std::uint64_t epoch);
-    void reset();
+    void publishEpoch();
 
     SampleSink &sink_;
     Cycles width_;
-    unsigned groups_;
-    std::uint64_t epoch_ = 0;
-    Cycles epochEnd_ = 0;  ///< First cycle past the current epoch.
-    LlcSample acc_;        ///< The current epoch's counts.
-    bool any_ = false;     ///< Whether the current epoch saw an event.
+    Cycles epochEnd_; ///< First cycle past the current epoch.
+    LlcSample acc_;   ///< The current epoch and its counts.
 };
 
 /**
- * Per-receive-queue recycle probe. Publishes one RxQueueSample per
- * queue and epoch in which that queue recycled at least one buffer,
- * plus one RxAggSample (the cross-queue recycle distribution) per
- * non-empty epoch.
- *
- * The per-queue page-histogram entropy characterizes the *defense*
- * (a randomizing policy raises it; the bare ring pins it at the ring
- * size), while the aggregate's cross-queue entropy is the
- * attacker-visible signal: a trojan or covert sender hammering one
- * flow concentrates recycles on one queue, collapsing it -- what
- * detect::ReuseEntropyDrop scores.
+ * Receive-path recycle probe: one RxAggSample, the cross-queue recycle
+ * distribution, per epoch in which any queue recycled a buffer. A
+ * trojan or covert sender hammering one flow concentrates recycles on
+ * one queue -- what detect::ReuseEntropyDrop scores.
  */
 class RxCounterProbe : public nic::RxTelemetry
 {
@@ -107,56 +88,17 @@ class RxCounterProbe : public nic::RxTelemetry
     RxCounterProbe(SampleSink &sink, Cycles epoch_cycles,
                    std::size_t queues);
 
-    void onRecycle(std::size_t queue, std::size_t slot, Addr page,
-                   Cycles now) override;
-
-    /** Publish every queue's current partial epoch. */
-    void flush(Cycles now);
+    void onRecycle(std::size_t queue, Cycles now) override;
 
   private:
-    struct QueueState
-    {
-        std::uint64_t epoch = 0;
-        std::uint64_t recycleOrdinal = 0; ///< Lifetime recycle count.
-
-        // Epoch accumulators.
-        std::uint64_t recycles = 0;
-        std::uint64_t reuseSum = 0;
-        std::uint64_t reuseCount = 0;
-        std::unordered_map<Addr, std::uint64_t> pageCounts;
-
-        /** page -> ordinal of its last recycle (lifetime). */
-        std::unordered_map<Addr, std::uint64_t> lastSeen;
-    };
-
-    void publishEpoch(std::size_t queue, std::uint64_t epoch);
-    void publishAggregate(std::uint64_t epoch);
-
-    /**
-     * Epoch index containing @p now, via a cached [start, end) window
-     * so the per-recycle hot path avoids the 64-bit division.
-     */
-    std::uint64_t
-    epochOf(Cycles now)
-    {
-        if (now < curStart_ || now >= curEnd_) {
-            curTarget_ = now / width_;
-            curStart_ = curTarget_ * width_;
-            curEnd_ = curStart_ + width_;
-        }
-        return curTarget_;
-    }
+    /** Publish the current epoch, if it saw a recycle, and move to
+     *  the one containing @p now. */
+    void rollSlow(Cycles now);
 
     SampleSink &sink_;
     Cycles width_;
-    std::vector<QueueState> queues_;
-
-    // Cached epoch window for epochOf().
-    std::uint64_t curTarget_ = 0;
-    Cycles curStart_ = 0;
-    Cycles curEnd_ = 0;
-
-    RxAggSample agg_; ///< The current aggregate epoch's counts.
+    Cycles epochEnd_; ///< First cycle past the current epoch.
+    RxAggSample acc_; ///< The current epoch and its counts.
 };
 
 } // namespace pktchase::detect

@@ -280,14 +280,14 @@ isDetectorName(const std::string &name)
 }
 
 std::unique_ptr<Detector>
-makeDetector(const std::string &name, const DetectorConfig &cfg)
+makeDetector(const std::string &name)
 {
     if (name == "miss-spike")
-        return std::make_unique<MissRateSpike>(cfg);
+        return std::make_unique<MissRateSpike>();
     if (name == "entropy-drop")
-        return std::make_unique<ReuseEntropyDrop>(cfg);
+        return std::make_unique<ReuseEntropyDrop>();
     if (name == "cadence")
-        return std::make_unique<ProbeCadence>(cfg);
+        return std::make_unique<ProbeCadence>();
     fatal("detect::makeDetector: unknown detector \"" + name +
           "\" (known: cadence, entropy-drop, miss-spike)");
 }

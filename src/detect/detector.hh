@@ -234,9 +234,9 @@ std::vector<std::string> detectorNames();
 /** Whether @p name names a built-in detector. */
 bool isDetectorName(const std::string &name);
 
-/** Instantiate the detector named @p name; fatal when unknown. */
-std::unique_ptr<Detector>
-makeDetector(const std::string &name, const DetectorConfig &cfg = {});
+/** Instantiate the detector named @p name at its default tuning;
+ *  fatal when unknown. */
+std::unique_ptr<Detector> makeDetector(const std::string &name);
 
 /**
  * Area under the ROC curve separating @p positives (attack-epoch

@@ -23,16 +23,14 @@ epochPhase()
 DetectionRig::DetectionRig(cache::Hierarchy &hier,
                            nic::IgbDriver &driver, const RigConfig &cfg)
     : hier_(hier), driver_(driver),
-      llcProbe_(*this, cfg.epochCycles, hier.llc().geometry().slices),
-      rxProbe_(*this, cfg.epochCycles, driver.numQueues())
+      llcProbe_(*this, kDefaultEpochCycles),
+      rxProbe_(*this, kDefaultEpochCycles, driver.numQueues())
 {
-    if (cfg.epochCycles == 0)
-        fatal("DetectionRig: epoch width must be nonzero");
     for (const std::string &name : cfg.detectors)
-        detectors_.push_back(makeDetector(name, cfg.detector));
+        detectors_.push_back(makeDetector(name));
     if (!cfg.gateDetector.empty()) {
         gate_ = std::make_unique<GateController>(
-            makeDetector(cfg.gateDetector, cfg.detector), cfg.gate);
+            makeDetector(cfg.gateDetector));
     }
 
     // Refuse to steal another rig's probes: overwriting them would
@@ -69,14 +67,6 @@ void
 DetectionRig::publish(const LlcSample &s)
 {
     fanOut(s);
-}
-
-void
-DetectionRig::publish(const RxQueueSample &)
-{
-    const obs::ScopedSpan span(epochPhase());
-    obs::bump(obs::Stat::DetectorEpochs);
-    ++published_;
 }
 
 void

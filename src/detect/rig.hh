@@ -5,12 +5,13 @@
  *
  * Construction wires everything: an LlcCounterProbe attached to the
  * LLC and an RxCounterProbe attached to the driver, both sampling at
- * the configured epoch width; one hosted Detector per requested name
+ * detect::kDefaultEpochCycles; one hosted Detector per requested name
  * (score-only consumers -- the figD1 ROC cells read their streams);
  * and optionally one GateController (for detector-gated defenses).
- * The rig is the probes' sample sink: it hands every sample to the
- * hosted detectors in RigConfig order, then to the gate. Destruction
- * detaches the probes, restoring the zero-cost off-path.
+ * Every detector and the gate run at their default tuning. The rig is
+ * the probes' sample sink: it hands every sample to the hosted
+ * detectors in RigConfig order, then to the gate. Destruction detaches
+ * the probes, restoring the zero-cost off-path.
  *
  * A rig is testbed-local: campaign cells each own a private rig, so
  * the detection layer inherits the runtime's determinism contract.
@@ -35,16 +36,11 @@ namespace pktchase::detect
 /** What to assemble. */
 struct RigConfig
 {
-    Cycles epochCycles = kDefaultEpochCycles;
-
     /** Hosted score-only detectors, by name. */
     std::vector<std::string> detectors;
 
     /** Detector arming a gate; "" = no gate. */
     std::string gateDetector;
-
-    DetectorConfig detector; ///< Tuning shared by every instance.
-    GateConfig gate;
 };
 
 /**
@@ -63,14 +59,12 @@ class DetectionRig final : public SampleSink
     /**
      * Fan one sample out: the hosted detectors, then the gate. Each
      * published sample, whatever its source, is one `detect.epoch`
-     * profile span and one obs::Stat::DetectorEpochs bump. No detector
-     * reads the per-queue stream; it is counted all the same.
+     * profile span and one obs::Stat::DetectorEpochs bump.
      */
     void publish(const LlcSample &s) override;
-    void publish(const RxQueueSample &s) override;
     void publish(const RxAggSample &s) override;
 
-    /** Samples published so far, every source included. */
+    /** Samples published so far, both sources included. */
     std::uint64_t published() const { return published_; }
 
     /** Hosted detector named @p name; fatal when absent. */

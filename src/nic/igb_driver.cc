@@ -248,12 +248,10 @@ IgbDriver::processRx(RxQueue &q, std::size_t desc_index,
         q.policy_->onRecycle(q, desc_index);
     }
 
-    // Post-defense recycle telemetry: report the page that will back
-    // the slot's next fill, so probes see the ring as defended.
-    if (telem_) {
-        telem_->onRecycle(q.index_, desc_index,
-                          q.ring_.desc(desc_index).pageBase, now);
-    }
+    // Recycle telemetry last: an epoch it publishes can arm the gate,
+    // so its place fixes the frame from which gated policies act.
+    if (telem_)
+        telem_->onRecycle(q.index_, now);
 }
 
 IgbStats

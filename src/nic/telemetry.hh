@@ -4,15 +4,9 @@
  *
  * The IgbDriver holds a nullable RxTelemetry pointer and reports one
  * event per received frame: the recycle of the descriptor that was
- * filled, tagged with the receive queue, the ring slot, and the page
- * backing the slot *after* the queue's BufferPolicy hooks ran -- so a
- * probe observes the recycle stream the way a NIC's buffer-tracking
- * counters would, defenses included.
- *
- * From this single stream a probe derives the per-RxQueue signals the
- * detection layer consumes: buffer-reuse distance (recycles between
- * consecutive uses of the same page on a queue) and recycle entropy
- * (how evenly an epoch's recycles spread over distinct pages).
+ * filled, tagged with the receive queue, after the queue's
+ * BufferPolicy hooks ran. From this one stream a probe derives the
+ * cross-queue recycle distribution the entropy-drop detector scores.
  *
  * When the pointer is null (the default) the receive path does no
  * telemetry work; the golden-trace tests pin that the off-path cost
@@ -36,12 +30,10 @@ class RxTelemetry
     virtual ~RxTelemetry() = default;
 
     /**
-     * Queue @p queue recycled descriptor @p slot; @p page is the page
-     * backing the slot after the buffer policy ran, @p now the cycle
-     * the driver finished processing the frame.
+     * Queue @p queue recycled a descriptor; @p now is the cycle the
+     * driver finished processing the frame.
      */
-    virtual void onRecycle(std::size_t queue, std::size_t slot,
-                           Addr page, Cycles now) = 0;
+    virtual void onRecycle(std::size_t queue, Cycles now) = 0;
 };
 
 } // namespace pktchase::nic

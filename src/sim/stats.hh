@@ -117,9 +117,8 @@ Summary summarize(const std::vector<double> &samples);
 /**
  * Shannon entropy, in bits, of the distribution described by a
  * histogram of nonnegative counts. Zero counts contribute nothing;
- * zero total mass yields 0. The single numeric kernel behind the
- * telemetry probes' recycle-entropy counters and the entropy-drop
- * detector, so the two sides can never drift apart numerically.
+ * zero total mass yields 0. The numeric kernel behind the
+ * entropy-drop detector's cross-queue recycle entropy.
  */
 double shannonEntropyBits(const std::vector<double> &counts);
 

@@ -76,7 +76,7 @@ Testbed::Testbed(const TestbedConfig &cfg)
     // every queue's policy to its gate. Non-gated configurations
     // attach nothing -- the telemetry path stays entirely off.
     if (!gated.empty()) {
-        detect::RigConfig rig_cfg = cfg_.detection;
+        detect::RigConfig rig_cfg;
         rig_cfg.gateDetector = gated.front()->detectorName();
         rig_ = std::make_unique<detect::DetectionRig>(*hier_, *driver_,
                                                       rig_cfg);

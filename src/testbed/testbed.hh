@@ -57,16 +57,6 @@ struct TestbedConfig
      */
     std::string nicSpec = "";
 
-    /**
-     * Telemetry/detection tuning (epoch width, detector windows and
-     * thresholds, gate hysteresis). Consulted when ringDefense is a
-     * "ring.gated:..." spec -- assembly then builds a DetectionRig
-     * whose gate arms every queue's GatedPolicy -- and by explicit
-     * Testbed::attachDetection() calls. Otherwise no rig exists and
-     * the telemetry path stays entirely off (zero cost).
-     */
-    detect::RigConfig detection;
-
     Addr physBytes = Addr(256) << 20; ///< 256 MB of frames.
     std::uint64_t seed = 1;
 

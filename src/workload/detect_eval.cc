@@ -23,13 +23,6 @@ namespace
 constexpr Cycles kDetectHorizon = secondsToCycles(0.04);
 
 /**
- * Telemetry epoch width of every figD1 run. Single-sourced here
- * because the grid's epoch arithmetic (warmup spans, the onset
- * epoch) must use the same width the rigs sample at.
- */
-constexpr Cycles kDetectEpochCycles = detect::kDefaultEpochCycles;
-
-/**
  * When the attacker switches on. The first half of the run is benign
  * on both twins (and covers the detectors' calibration spans); AUC
  * and TPR are computed over post-onset epochs, so they measure
@@ -199,7 +192,6 @@ runDetectionAttack(const std::string &detector, double probe_rate_hz,
 {
     testbed::Testbed tb(detectionTestbedConfig(queues));
     detect::RigConfig rig_cfg;
-    rig_cfg.epochCycles = kDetectEpochCycles;
     rig_cfg.detectors = {detector};
     detect::DetectionRig &rig = tb.attachDetection(rig_cfg);
 
@@ -235,7 +227,6 @@ runDetectionBenign(const std::string &detector, std::size_t queues,
 {
     testbed::Testbed tb(detectionTestbedConfig(queues));
     detect::RigConfig rig_cfg;
-    rig_cfg.epochCycles = kDetectEpochCycles;
     rig_cfg.detectors = {detector};
     detect::DetectionRig &rig = tb.attachDetection(rig_cfg);
 
@@ -293,7 +284,7 @@ figD1DetectionGrid()
                     // (plus a short-window settle). Negatives: the
                     // benign twin past warmup.
                     const double onset_epoch = static_cast<double>(
-                        kAttackOnset / kDetectEpochCycles + 8);
+                        kAttackOnset / detect::kDefaultEpochCycles + 8);
                     const double warmup =
                         static_cast<double>(kDetectWarmupEpochs);
                     const auto pos = seriesScores(atk, onset_epoch);
@@ -321,7 +312,6 @@ figD1DetectionGrid()
                 testbed::Testbed tb(makeDefenseConfig(
                     "cache.ddio", cache::Geometry::xeonE52660()));
                 detect::RigConfig rig_cfg;
-                rig_cfg.epochCycles = kDetectEpochCycles;
                 rig_cfg.detectors = {det};
                 detect::DetectionRig &rig =
                     tb.attachDetection(rig_cfg);

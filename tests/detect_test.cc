@@ -38,7 +38,6 @@ llcSample(std::uint64_t epoch, std::uint64_t misses,
     s.epoch = epoch;
     s.start = epoch * width;
     s.end = s.start + width;
-    s.cpuAccesses = misses * 2;
     s.cpuMisses = misses;
     s.ioConflicts = conflicts;
     return s;
@@ -61,11 +60,9 @@ aggSample(std::uint64_t epoch, const std::vector<std::uint64_t> &counts)
 struct Recorder : SampleSink
 {
     std::vector<LlcSample> llc;
-    std::vector<RxQueueSample> rxq;
     std::vector<RxAggSample> agg;
 
     void publish(const LlcSample &s) override { llc.push_back(s); }
-    void publish(const RxQueueSample &s) override { rxq.push_back(s); }
     void publish(const RxAggSample &s) override { agg.push_back(s); }
 };
 
@@ -76,73 +73,64 @@ struct Recorder : SampleSink
 TEST(LlcCounterProbe, RollsEpochsAndZeroFillsGaps)
 {
     Recorder rec;
-    LlcCounterProbe probe(rec, 1000, 2);
+    LlcCounterProbe probe(rec, 1000);
 
-    probe.cpuAccess(0, false, 100);   // epoch 0
-    probe.cpuAccess(1, true, 500);    // epoch 0
-    probe.ioInjection(0, true, 3500); // epoch 3: publishes 0,1,2
+    probe.cpuAccess(false, 100); // epoch 0
+    probe.cpuAccess(true, 500);  // epoch 0
+    probe.ioInjection(3500);     // epoch 3: publishes 0,1,2
     const std::vector<LlcSample> &samples = rec.llc;
     ASSERT_EQ(samples.size(), 3u);
     EXPECT_EQ(samples[0].epoch, 0u);
-    EXPECT_EQ(samples[0].cpuAccesses, 2u);
     EXPECT_EQ(samples[0].cpuMisses, 1u);
-    EXPECT_EQ(samples[0].missRate(), 0.5);
-    EXPECT_EQ(samples[0].groupMisses, (std::vector<std::uint64_t>{1, 0}));
-    EXPECT_EQ(samples[1].cpuAccesses, 0u); // zero-filled
-    EXPECT_EQ(samples[1].missRate(), 0.0);
-    EXPECT_EQ(samples[2].cpuAccesses, 0u);
-    EXPECT_EQ(samples[2].groupMisses, (std::vector<std::uint64_t>{0, 0}));
+    EXPECT_EQ(samples[0].ioConflicts, 0u);
+    EXPECT_EQ(samples[1].cpuMisses, 0u); // zero-filled
+    EXPECT_EQ(samples[1].ioConflicts, 0u);
+    EXPECT_EQ(samples[2].cpuMisses, 0u);
+    EXPECT_EQ(samples[2].ioConflicts, 0u);
 
-    probe.flush(3500);
+    // The epoch still open is published by the first later event.
+    probe.ioLineConflict(3600);
+    probe.cpuAccess(false, 4100); // epoch 4: publishes 3
     ASSERT_EQ(samples.size(), 4u);
     EXPECT_EQ(samples[3].epoch, 3u);
     EXPECT_EQ(samples[3].start, 3000u);
     EXPECT_EQ(samples[3].end, 4000u);
-    EXPECT_EQ(samples[3].ddioFills, 1u);
-    EXPECT_EQ(samples[3].ddioCpuDisplaced, 1u);
-    EXPECT_EQ(samples[3].groupFills, (std::vector<std::uint64_t>{1, 0}));
+    EXPECT_EQ(samples[3].cpuMisses, 0u);
+    EXPECT_EQ(samples[3].ioConflicts, 1u);
 }
 
 TEST(LlcCounterProbe, LongIdleGapCatchUpIsBounded)
 {
     Recorder rec;
-    LlcCounterProbe probe(rec, 1000, 1);
-    probe.cpuAccess(0, false, 100);
+    LlcCounterProbe probe(rec, 1000);
+    probe.cpuAccess(false, 100);
     // A gap of a million epochs publishes at most the catch-up bound
     // plus the pending epoch, not a million zero samples.
-    probe.cpuAccess(0, false, Cycles(1000) * 1000 * 1000);
+    probe.cpuAccess(false, Cycles(1000) * 1000 * 1000);
     EXPECT_LE(rec.llc.size(), LlcCounterProbe::kMaxCatchUp + 1);
 }
 
-TEST(RxCounterProbe, ReuseDistanceAndAggregate)
+TEST(RxCounterProbe, AggregatesRecyclesPerQueue)
 {
     Recorder rec;
     RxCounterProbe probe(rec, 1000, 2);
 
-    // Queue 0 cycles two pages; queue 1 sees one recycle.
-    probe.onRecycle(0, 0, 0x1000, 10);
-    probe.onRecycle(0, 1, 0x2000, 20);
-    probe.onRecycle(0, 0, 0x1000, 30); // reuse distance 2
-    probe.onRecycle(1, 0, 0x9000, 40);
-    probe.flush(2000);
+    // Queue 0 recycles three buffers, queue 1 one, all in epoch 0.
+    probe.onRecycle(0, 10);
+    probe.onRecycle(0, 20);
+    probe.onRecycle(0, 30);
+    probe.onRecycle(1, 40);
+    EXPECT_TRUE(rec.agg.empty()); // epoch 0 is still open
+    // Epoch 1 saw no recycle, so it publishes nothing.
+    probe.onRecycle(1, 2000);
 
-    ASSERT_EQ(rec.rxq.size(), 2u);
-    const RxQueueSample &q0 = rec.rxq[0];
-    EXPECT_EQ(q0.queue, 0u);
-    EXPECT_EQ(q0.recycles, 3u);
-    EXPECT_EQ(q0.pages, 2u);
-    EXPECT_EQ(q0.reuseMean, 2.0);
-    // Two recycles of 0x1000 and one of 0x2000: H = 0.918 bits, over
-    // log2(3) bits.
-    EXPECT_NEAR(q0.entropy, 0.5793802, 1e-6);
-    EXPECT_EQ(rec.rxq[1].queue, 1u);
-    EXPECT_EQ(rec.rxq[1].entropy, 1.0); // a single recycle
     ASSERT_EQ(rec.agg.size(), 1u);
     const RxAggSample &agg = rec.agg[0];
+    EXPECT_EQ(agg.epoch, 0u);
+    EXPECT_EQ(agg.start, 0u);
+    EXPECT_EQ(agg.end, 1000u);
     EXPECT_EQ(agg.total, 4u);
     EXPECT_EQ(agg.perQueue, (std::vector<std::uint64_t>{3, 1}));
-    // 3:1 split over two queues: H = 0.811 bits / 1 bit.
-    EXPECT_NEAR(agg.entropy, 0.8112781, 1e-6);
 }
 
 // ---------------------------------------------------------- detectors --
@@ -315,8 +303,7 @@ TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
     Recorder rec;
     {
         testbed::Testbed tb(cfg);
-        LlcCounterProbe llc(rec, kDefaultEpochCycles,
-                            tb.hier().llc().geometry().slices);
+        LlcCounterProbe llc(rec, kDefaultEpochCycles);
         RxCounterProbe rx(rec, kDefaultEpochCycles,
                           tb.driver().numQueues());
         tb.hier().llc().attachTelemetry(&llc);
@@ -326,7 +313,6 @@ TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
         tb.driver().attachTelemetry(nullptr);
     }
     ASSERT_FALSE(rec.llc.empty());
-    ASSERT_FALSE(rec.rxq.empty());
     ASSERT_FALSE(rec.agg.empty());
 
     testbed::Testbed tb(cfg);
@@ -338,9 +324,8 @@ TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
     runBenignTraffic(tb, kHorizon);
     const obs::StatSnapshot spent = obs::snapshot() - before;
 
-    // Every source counts, the per-queue stream included.
-    EXPECT_EQ(rig.published(),
-              rec.llc.size() + rec.rxq.size() + rec.agg.size());
+    // Both sources count.
+    EXPECT_EQ(rig.published(), rec.llc.size() + rec.agg.size());
     EXPECT_EQ(spent.get(obs::Stat::DetectorEpochs), rig.published());
 
     // Each hosted detector (and the gate's) scores every sample of
