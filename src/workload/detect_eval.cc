@@ -46,33 +46,6 @@ detectionTestbedConfig(std::size_t queues)
     return cfg;
 }
 
-/** Score values of a trace from epoch @p from_epoch on. */
-std::vector<double>
-scoreValues(const DetectionTrace &t, std::uint64_t from_epoch)
-{
-    std::vector<double> out;
-    for (const detect::Score &s : t.scores)
-        if (s.epoch >= from_epoch)
-            out.push_back(s.score);
-    return out;
-}
-
-/** Alarm fraction of a trace from epoch @p from_epoch on. */
-double
-alarmRate(const DetectionTrace &t, std::uint64_t from_epoch)
-{
-    std::uint64_t n = 0, alarms = 0;
-    for (const detect::Score &s : t.scores) {
-        if (s.epoch < from_epoch)
-            continue;
-        ++n;
-        if (s.alarm)
-            ++alarms;
-    }
-    return n > 0 ? static_cast<double>(alarms) /
-        static_cast<double>(n) : 0.0;
-}
-
 /**
  * Pack a detection trace into a task partial: the per-epoch score
  * trace as series (never serialized into reports), so the cell's fold
@@ -98,7 +71,7 @@ traceToPartial(const DetectionTrace &t)
     return r;
 }
 
-/** scoreValues() over a task partial's series. */
+/** Score values of a packed trace from epoch @p from_epoch on. */
 std::vector<double>
 seriesScores(const runtime::ScenarioResult &p, double from_epoch)
 {
@@ -111,7 +84,7 @@ seriesScores(const runtime::ScenarioResult &p, double from_epoch)
     return out;
 }
 
-/** alarmRate() over a task partial's series. */
+/** Alarm fraction of a packed trace from epoch @p from_epoch on. */
 double
 seriesAlarmRate(const runtime::ScenarioResult &p, double from_epoch)
 {
@@ -324,10 +297,12 @@ figD1DetectionGrid()
 
                 DetectionTrace t;
                 t.scores = rig.detector(det).scores();
-                t.samples = rig.published();
+                const runtime::ScenarioResult trace = traceToPartial(t);
+                const double warmup =
+                    static_cast<double>(kDetectWarmupEpochs);
                 runtime::ScenarioResult r;
-                r.set("fpr", alarmRate(t, kDetectWarmupEpochs));
-                const auto vals = scoreValues(t, kDetectWarmupEpochs);
+                r.set("fpr", seriesAlarmRate(trace, warmup));
+                const auto vals = seriesScores(trace, warmup);
                 double peak = 0.0;
                 for (double v : vals)
                     peak = std::max(peak, v);
