@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "attack/footprint.hh"
 #include "defense/gated_policy.hh"
 #include "defense/registry.hh"
 #include "detect/counters.hh"
@@ -343,6 +345,91 @@ TEST(DetectionRig, FansOutEverySampleAndCountsEverySource)
     expectScoresEach(rig.detector("cadence"), rec.llc);
     ASSERT_NE(rig.gate(), nullptr);
     expectScoresEach(rig.gate()->detector(), rec.llc);
+}
+
+TEST(CounterProbes, SumsEqualTheEmittersStatistics)
+{
+    // The wiring from emitter to probe: summed over every published
+    // epoch, the probes' counts equal the Llc's and the driver's own
+    // statistics, so every miss, conflict and recycle reaches a hook
+    // exactly once, whatever the cache policy and queue count.
+    struct Case
+    {
+        const char *cache;
+        std::size_t queues;
+    };
+    const Case cases[] = {{"cache.ddio", 1}, {"cache.adaptive", 1},
+                          {"cache.no-ddio", 1}, {"cache.ddio", 4}};
+    constexpr Cycles kHorizon = 400 * kDefaultEpochCycles;
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.cache) + ", " +
+                     defense::nicSpecOf(c.queues));
+        testbed::TestbedConfig cfg = testbed::TestbedConfig::reduced();
+        cfg.cacheDefense = c.cache;
+        cfg.nicSpec = defense::nicSpecOf(c.queues);
+        testbed::Testbed tb(cfg);
+        cache::Llc &llc = tb.hier().llc();
+        nic::IgbDriver &driver = tb.driver();
+
+        std::vector<std::size_t> all;
+        for (std::size_t g = 0; g < tb.groups().groups.size(); ++g)
+            all.push_back(g);
+        attack::FootprintConfig fcfg;
+        fcfg.probe.ways = cfg.llc.geom.ways;
+        attack::FootprintScanner scanner(tb.hier(), tb.groups(), all,
+                                         fcfg);
+
+        Recorder rec;
+        LlcCounterProbe llc_probe(rec, kDefaultEpochCycles);
+        RxCounterProbe rx_probe(rec, kDefaultEpochCycles, c.queues);
+        const cache::LlcStats llc0 = llc.stats();
+        std::vector<std::uint64_t> frames0;
+        for (std::size_t q = 0; q < c.queues; ++q)
+            frames0.push_back(driver.queueStats(q).framesReceived);
+        llc.attachTelemetry(&llc_probe);
+        driver.attachTelemetry(&rx_probe);
+
+        net::TrafficPump pump(tb.eq(), driver, workload::benignMix(7),
+                              1000);
+        tb.eq().runUntil(kHorizon / 2);
+        scanner.scan(tb.eq(), kHorizon);
+
+        // One event in a later epoch publishes the last one.
+        const cache::LlcStats llc1 = llc.stats();
+        llc_probe.ioInjection(2 * kHorizon);
+        rx_probe.onRecycle(0, 2 * kHorizon);
+        llc.attachTelemetry(nullptr);
+        driver.attachTelemetry(nullptr);
+
+        std::uint64_t misses = 0, conflicts = 0;
+        for (const LlcSample &s : rec.llc) {
+            misses += s.cpuMisses;
+            conflicts += s.ioConflicts;
+        }
+        EXPECT_GT(misses, 0u);
+        // Under DDIO the scan's fills displace injected lines; the
+        // partitioned and no-DDIO caches keep CPU fills off them.
+        if (std::string(c.cache) == "cache.ddio") {
+            EXPECT_GT(conflicts, 0u);
+        }
+        EXPECT_EQ(misses, llc1.cpuReadMisses + llc1.cpuWriteMisses -
+                              llc0.cpuReadMisses - llc0.cpuWriteMisses);
+        EXPECT_EQ(conflicts, llc1.ioEvictedByCpu - llc0.ioEvictedByCpu);
+
+        std::vector<std::uint64_t> recycles(c.queues, 0);
+        for (const RxAggSample &s : rec.agg) {
+            ASSERT_EQ(s.perQueue.size(), c.queues);
+            for (std::size_t q = 0; q < c.queues; ++q)
+                recycles[q] += s.perQueue[q];
+        }
+        for (std::size_t q = 0; q < c.queues; ++q) {
+            EXPECT_GT(recycles[q], 0u) << "queue " << q;
+            EXPECT_EQ(recycles[q], driver.queueStats(q).framesReceived -
+                                       frames0[q])
+                << "queue " << q;
+        }
+    }
 }
 
 // ---------------------------------------------------- gated ring spec --
