@@ -209,10 +209,15 @@ Sequencer::makeSequence(Graph graph, std::uint64_t weight_cutoff)
         state = {state.second, next};
     }
 
+    // A walk that followed no edge found no ring: every edge was
+    // below the cutoff, and the root state's node alone is noise.
+    if (sequence.size() < 2)
+        return {};
+
     // When the walk closes the ring it re-enters the root state and
     // pushes its node once more before running out of fresh edges;
     // drop that closure duplicate.
-    if (sequence.size() > 1 && sequence.front() == sequence.back())
+    if (sequence.front() == sequence.back())
         sequence.pop_back();
 
     return sequence;

@@ -136,6 +136,24 @@ TEST(Sequencer, EmptySamplesYieldEmptySequence)
     EXPECT_TRUE(seq.empty());
 }
 
+TEST(Sequencer, NoEdgeOverTheCutoffYieldsNoRing)
+{
+    // An idle ring's trace over a 32-set window: set 25 fires in
+    // rounds 100 and 1500, set 7 in round 900. No edge reaches the
+    // cutoff, so the walk follows none and there is no ring -- not a
+    // one-node ring of the root state's node.
+    std::vector<ProbeSample> samples(2001);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        samples[i].start = static_cast<Cycles>(i) * 1000;
+        samples[i].end = samples[i].start + 100;
+        samples[i].active.assign(32, 0);
+    }
+    samples[100].active[25] = 1;
+    samples[900].active[7] = 1;
+    samples[1500].active[25] = 1;
+    EXPECT_TRUE(Sequencer::sequenceFromSamples(samples, 32, 3).empty());
+}
+
 TEST(Sequencer, PureNoiseYieldsShortSequence)
 {
     // With no ring structure the cutoff should terminate the walk
