@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -38,6 +39,11 @@ ServerWorkload::snap() const
 Cycles
 ServerWorkload::serveOne(Cycles now)
 {
+    // One span per request: the frame's nic.deliver (and any
+    // detect.epoch it publishes) nest inside it.
+    static const obs::ProfilePhase kRequestPhase{"server.request",
+                                                 "workload"};
+    const obs::ScopedSpan span(kRequestPhase);
     const std::uint64_t reallocs_before =
         tb_.driver().stats().buffersReallocated;
     const std::uint64_t swaps_before =
