@@ -1,5 +1,7 @@
 #include "rng.hh"
 
+#include <limits>
+
 #include "logging.hh"
 
 namespace pktchase
@@ -25,7 +27,118 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** nextZipf draws r = next() >> 11, one of 2^53 values. */
+constexpr std::uint64_t kZipfDraws = std::uint64_t{1} << 53;
+
+/** Normalizer of the continuous Zipf CDF over [0, n] with exponent s. */
+double
+zipfNorm(std::uint64_t n, double s)
+{
+    const double oneMinusS = 1.0 - s;
+    return s == 1.0
+        ? std::log(static_cast<double>(n) + 1.0)
+        : (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
+            oneMinusS;
+}
+
+/**
+ * nextZipf's closed form: the rank of the 53-bit draw @p r, given
+ * hn = zipfNorm(n, s). Rejection-inversion sampling (Hormann &
+ * Derflinger) is overkill for the workload model; a simple inverse-CDF
+ * walk over a cached harmonic sum would be O(n) per draw, so we use the
+ * standard approximation: invert the continuous Zipf CDF at
+ * u = 1 - r / 2^53, then clamp.
+ */
+std::uint64_t
+zipfRank(std::uint64_t r, std::uint64_t n, double s, double hn)
+{
+    const double u = 1.0 - static_cast<double>(r) * 0x1.0p-53; // (0, 1]
+    double x = 0.0;
+    if (s == 1.0) {
+        x = std::exp(u * hn) - 1.0;
+    } else {
+        const double oneMinusS = 1.0 - s;
+        x = std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
+    }
+    return std::min(static_cast<std::uint64_t>(x), n - 1);
+}
+
 } // namespace
+
+ZipfTable::ZipfTable(std::uint64_t n, double s)
+{
+    if (n == 0)
+        panic("ZipfTable requires n > 0");
+    if (n - 1 > std::numeric_limits<std::uint32_t>::max())
+        panic("ZipfTable requires n <= 2^32");
+    const double hn = zipfNorm(n, s);
+    const auto below = [&](std::int64_t r, std::uint64_t k) {
+        return zipfRank(static_cast<std::uint64_t>(r), n, s, hn) < k;
+    };
+
+    bound_.resize(n);
+    bound_[0] = kZipfDraws;
+    for (std::uint64_t k = 1; k < n; ++k) {
+        // The first draw ranked below k lies in (lo, hi]: below() is
+        // false at lo (or lo is -1) and true at hi, which starts at
+        // the previous bound.
+        std::int64_t lo = -1;
+        auto hi = static_cast<std::int64_t>(bound_[k - 1]);
+        if (hi > 0) {
+            // Gallop out from the continuous inverse's estimate, which
+            // lands within a few draws of the bound, then bisect.
+            const double kp1 = static_cast<double>(k) + 1.0;
+            const double below_k = s == 1.0
+                ? std::log(kp1) / hn
+                : (std::pow(kp1, 1.0 - s) - 1.0) / (hn * (1.0 - s));
+            const double est = (1.0 - below_k) * 0x1.0p53;
+            std::int64_t e = 0;
+            if (est >= static_cast<double>(hi - 1))
+                e = hi - 1;
+            else if (est > 0.0)
+                e = static_cast<std::int64_t>(est);
+            if (below(e, k)) {
+                hi = e;
+                for (std::int64_t step = 1; e - step >= 0; step *= 2) {
+                    if (!below(e - step, k)) {
+                        lo = e - step;
+                        break;
+                    }
+                    hi = e - step;
+                }
+            } else {
+                lo = e;
+                for (std::int64_t step = 1; e + step < hi; step *= 2) {
+                    if (below(e + step, k)) {
+                        hi = e + step;
+                        break;
+                    }
+                    lo = e + step;
+                }
+            }
+            while (hi - lo > 1) {
+                const std::int64_t mid = lo + (hi - lo) / 2;
+                (below(mid, k) ? hi : lo) = mid;
+            }
+        }
+        bound_[k] = static_cast<std::uint64_t>(hi);
+    }
+
+    // Guide: the rank of each bucket's first draw, filled by one merge
+    // pass down the bounds.
+    unsigned bits = 1;
+    while ((std::uint64_t{1} << bits) < 2 * n)
+        ++bits;
+    shift_ = 53 - bits;
+    guide_.resize(std::size_t{1} << bits);
+    std::uint64_t k = n - 1;
+    for (std::size_t b = 0; b < guide_.size(); ++b) {
+        const std::uint64_t r = std::uint64_t{b} << shift_;
+        while (r >= bound_[k])
+            --k;
+        guide_[b] = static_cast<std::uint32_t>(k);
+    }
+}
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -127,32 +240,21 @@ Rng::nextZipf(std::uint64_t n, double s)
 {
     if (n == 0)
         panic("Rng::nextZipf requires n > 0");
-    // Rejection-inversion sampling (Hormann & Derflinger) is overkill for
-    // the workload model; a simple inverse-CDF walk over a cached harmonic
-    // sum would be O(n) per draw, so we use the standard approximation:
-    // draw u and invert the continuous Zipf CDF, then clamp.
-    const double u = 1.0 - nextDouble(); // (0, 1]
-    const double oneMinusS = 1.0 - s;
+    const std::uint64_t r = next() >> 11;
     if (n != zipfN_ || s != zipfS_) {
         // The normalizer depends only on (n, s); a workload draws from
         // one distribution, so the last pair is the whole cache.
-        zipfHn_ = s == 1.0
-            ? std::log(static_cast<double>(n) + 1.0)
-            : (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-                oneMinusS;
+        zipfHn_ = zipfNorm(n, s);
         zipfN_ = n;
         zipfS_ = s;
     }
-    const double hn = zipfHn_;
-    if (s == 1.0) {
-        const double x = std::exp(u * hn) - 1.0;
-        const auto k = static_cast<std::uint64_t>(x);
-        return std::min(k, n - 1);
-    }
-    const double x =
-        std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
-    const auto k = static_cast<std::uint64_t>(x);
-    return std::min(k, n - 1);
+    return zipfRank(r, n, s, zipfHn_);
+}
+
+std::uint64_t
+Rng::nextZipf(const ZipfTable &table)
+{
+    return table.rank(next() >> 11);
 }
 
 Rng

@@ -20,6 +20,40 @@ namespace pktchase
 {
 
 /**
+ * The step function Rng::nextZipf(n, s) computes from its 53-bit draw,
+ * tabulated for one (n, s) so that a draw needs no `pow`.
+ *
+ * The closed-form rank is non-increasing in the draw, so it is fixed
+ * by n - 1 thresholds: bound_[k] is the first draw whose rank is below
+ * k. Each is found once, by bisecting the closed form itself from the
+ * continuous inverse's estimate, so rank(r) equals the closed form's
+ * rank of r for every draw. A guide of 2^ceil(log2 2n) buckets holds
+ * the rank of each bucket's first draw; a lookup starts there and
+ * steps down past the thresholds at or below r, usually none.
+ */
+class ZipfTable
+{
+  public:
+    /** Tabulate ranks in [0, n) with exponent s; n in [1, 2^32]. */
+    ZipfTable(std::uint64_t n, double s);
+
+    /** Rank of the 53-bit draw @p r, as nextZipf(n, s) maps it. */
+    std::uint64_t
+    rank(std::uint64_t r) const
+    {
+        std::uint32_t k = guide_[r >> shift_];
+        while (r >= bound_[k])
+            --k;
+        return k;
+    }
+
+  private:
+    std::vector<std::uint64_t> bound_; ///< bound_[0] is 2^53.
+    std::vector<std::uint32_t> guide_;
+    unsigned shift_ = 0;
+};
+
+/**
  * Seedable xoshiro256** generator with distribution helpers.
  */
 class Rng
@@ -53,10 +87,19 @@ class Rng
     double nextExponential(double lambda);
 
     /**
-     * Zipf-distributed rank in [0, n) with exponent s.
-     * Used for hot/cold working-set modelling in the server workload.
+     * Zipf-distributed rank in [0, n) with exponent s: one 53-bit draw
+     * r, inverted through the continuous Zipf CDF in closed form (one
+     * `pow` per draw). The server workload draws through a ZipfTable,
+     * which tabulates this closed form for its (n, s) and yields the
+     * same rank from the same generator state.
      */
     std::uint64_t nextZipf(std::uint64_t n, double s);
+
+    /**
+     * nextZipf(n, s) for the table's (n, s), read from the table:
+     * consumes exactly one next(), as nextZipf(n, s) does.
+     */
+    std::uint64_t nextZipf(const ZipfTable &table);
 
     /** Fisher-Yates shuffle of a vector in place. */
     template <typename T>

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/rng.hh"
 #include "testbed/testbed.hh"
 
 namespace pktchase::workload
@@ -101,6 +102,7 @@ class ServerWorkload
     testbed::Testbed &tb_;
     ServerConfig cfg_;
     Rng rng_;
+    ZipfTable zipf_; ///< Object-store ranks for (hotPages, zipfExponent).
     mem::AddressSpace appSpace_;
     Addr hotBase_ = 0;
     Addr respBase_ = 0;

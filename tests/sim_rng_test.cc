@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -151,11 +152,14 @@ TEST(Rng, ZipfInRangeAndSkewed)
 namespace
 {
 
-/** nextZipf's closed form, recomputing the normalizer on every draw. */
+/**
+ * nextZipf's closed form on the 53-bit draw @p r, recomputing the
+ * normalizer every time.
+ */
 std::uint64_t
-zipfClosedForm(Rng &rng, std::uint64_t n, double s)
+zipfClosedForm(std::uint64_t r, std::uint64_t n, double s)
 {
-    const double u = 1.0 - rng.nextDouble();
+    const double u = 1.0 - static_cast<double>(r) * 0x1.0p-53;
     if (s == 1.0) {
         const double hn = std::log(static_cast<double>(n) + 1.0);
         const double x = std::exp(u * hn) - 1.0;
@@ -168,6 +172,13 @@ zipfClosedForm(Rng &rng, std::uint64_t n, double s)
     const double x =
         std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
     return std::min(static_cast<std::uint64_t>(x), n - 1);
+}
+
+/** The same on the generator's next 53-bit draw, as nextZipf takes it. */
+std::uint64_t
+zipfClosedForm(Rng &rng, std::uint64_t n, double s)
+{
+    return zipfClosedForm(rng.next() >> 11, n, s);
 }
 
 } // namespace
@@ -184,6 +195,59 @@ TEST(Rng, ZipfMatchesClosedFormAcrossParameterChanges)
         const auto &d = dists[pattern[i % 10]];
         ASSERT_EQ(rng.nextZipf(d.n, d.s), zipfClosedForm(ref, d.n, d.s))
             << "draw " << i << " n=" << d.n << " s=" << d.s;
+    }
+}
+
+TEST(ZipfTable, MatchesNextZipfDrawForDraw)
+{
+    const struct { std::uint64_t n; double s; } dists[] = {
+        {4800, 0.6}, {1000, 0.9}, {1000, 1.0},
+        {1, 0.6},    {500, 1.2},  {4800, 0.0}};
+    for (const auto &d : dists) {
+        const ZipfTable table(d.n, d.s);
+        Rng rng(43), ref(43);
+        for (int i = 0; i < 1000000; ++i) {
+            ASSERT_EQ(rng.nextZipf(table), ref.nextZipf(d.n, d.s))
+                << "draw " << i << " n=" << d.n << " s=" << d.s;
+        }
+        // One next() per draw on both paths: the streams stay aligned.
+        EXPECT_EQ(rng.next(), ref.next()) << "n=" << d.n << " s=" << d.s;
+    }
+}
+
+TEST(ZipfTable, MatchesClosedFormAroundEveryThreshold)
+{
+    // The table is exact only if its thresholds are the closed form's:
+    // bisect the reference for the first draw ranked below k, and check
+    // the 64 draws on either side of it.
+    constexpr std::int64_t kDraws = std::int64_t{1} << 53;
+    const struct { std::uint64_t n; double s; } dists[] = {
+        {4800, 0.6}, {1000, 0.9}, {1000, 1.0}};
+    for (const auto &d : dists) {
+        const ZipfTable table(d.n, d.s);
+        std::uint64_t checked = 0;
+        for (std::uint64_t k = 1; k < d.n; ++k) {
+            std::int64_t lo = -1, hi = kDraws;
+            while (hi - lo > 1) {
+                const std::int64_t mid = lo + (hi - lo) / 2;
+                if (zipfClosedForm(static_cast<std::uint64_t>(mid), d.n,
+                                   d.s) < k)
+                    hi = mid;
+                else
+                    lo = mid;
+            }
+            ASSERT_LT(hi, kDraws) << "no draw ranked below " << k;
+            const std::int64_t first = std::max<std::int64_t>(hi - 64, 0);
+            const std::int64_t last = std::min(hi + 64, kDraws - 1);
+            for (std::int64_t r = first; r <= last; ++r) {
+                const auto draw = static_cast<std::uint64_t>(r);
+                ASSERT_EQ(table.rank(draw), zipfClosedForm(draw, d.n, d.s))
+                    << "draw " << r << " threshold " << k << " n=" << d.n
+                    << " s=" << d.s;
+                ++checked;
+            }
+        }
+        EXPECT_EQ(checked, (d.n - 1) * 129) << "n=" << d.n << " s=" << d.s;
     }
 }
 
@@ -229,4 +293,11 @@ TEST(RngDeath, RangeInvertedPanics)
 {
     Rng rng(39);
     EXPECT_DEATH(rng.nextRange(5, 4), "lo > hi");
+}
+
+TEST(RngDeath, ZipfTableOutOfRangeNPanics)
+{
+    EXPECT_DEATH(ZipfTable(0, 0.6), "n > 0");
+    // A guide entry holds ranks up to 2^32 - 1.
+    EXPECT_DEATH(ZipfTable((std::uint64_t{1} << 32) + 1, 0.6), "2\\^32");
 }
