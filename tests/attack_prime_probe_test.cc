@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/prime_probe.hh"
+#include "attack/probe_params.hh"
 #include "testbed/testbed.hh"
 
 using namespace pktchase;
@@ -38,7 +39,54 @@ struct Fixture : ::testing::Test
     }
 };
 
+/**
+ * Active sets seen over 2001 back-to-back rounds of 32 active combos on
+ * an idle full-size testbed, at ProbeParams defaults.
+ */
+std::uint64_t
+idleActivations(double timer_noise_sigma, double outlier_prob)
+{
+    testbed::TestbedConfig cfg;
+    cfg.hier.timerNoiseSigma = timer_noise_sigma;
+    cfg.hier.outlierProb = outlier_prob;
+    testbed::Testbed tb(cfg);
+    std::vector<std::size_t> combos = tb.activeCombos();
+    combos.resize(32);
+    const ProbeParams probe;
+    std::vector<EvictionSet> sets;
+    for (std::size_t c : combos)
+        sets.push_back(tb.groups().evictionSetFor(c, probe.ways));
+    PrimeProbeMonitor mon(tb.hier(), std::move(sets),
+                          probe.missThreshold);
+    Cycles t = tb.eq().now();
+    t += mon.primeAll(t);
+    std::uint64_t active = 0;
+    for (int round = 0; round < 2001; ++round) {
+        const ProbeSample &s = mon.probeAll(t);
+        t = s.end;
+        for (std::uint8_t a : s.active)
+            active += a;
+    }
+    return active;
+}
+
 } // namespace
+
+TEST(IdleTestbed, ProbeActivationsComeOnlyFromTimerOutliers)
+{
+    // Nothing displaces the spy's lines on an idle testbed, so a probe
+    // sees a miss only when the hierarchy's timer outlier (outlierProb
+    // per timed read, outlierCycles on top of the hit) pushes a hit
+    // past the threshold; the Gaussian jitter never does.
+    EXPECT_EQ(idleActivations(4.0, 0.0), 0u);
+    EXPECT_EQ(idleActivations(0.0, 0.0), 0u);
+    // 1.28 M timed reads at the default 2e-6 expect 2.6 outliers: the
+    // default model must show some, or the zeros above prove nothing.
+    const cache::HierarchyConfig defaults;
+    EXPECT_GT(idleActivations(defaults.timerNoiseSigma,
+                              defaults.outlierProb),
+              0u);
+}
 
 TEST_F(Fixture, QuietAfterPrime)
 {
