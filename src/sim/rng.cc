@@ -97,24 +97,17 @@ ZipfTable::ZipfTable(std::uint64_t n, double s)
                 e = hi - 1;
             else if (est > 0.0)
                 e = static_cast<std::int64_t>(est);
+            std::int64_t step = 1;
             if (below(e, k)) {
                 hi = e;
-                for (std::int64_t step = 1; e - step >= 0; step *= 2) {
-                    if (!below(e - step, k)) {
-                        lo = e - step;
-                        break;
-                    }
-                    hi = e - step;
-                }
+                for (; hi - step > lo && below(hi - step, k); step *= 2)
+                    hi -= step;
+                lo = std::max(lo, hi - step);
             } else {
                 lo = e;
-                for (std::int64_t step = 1; e + step < hi; step *= 2) {
-                    if (below(e + step, k)) {
-                        hi = e + step;
-                        break;
-                    }
-                    lo = e + step;
-                }
+                for (; lo + step < hi && !below(lo + step, k); step *= 2)
+                    lo += step;
+                hi = std::min(hi, lo + step);
             }
             while (hi - lo > 1) {
                 const std::int64_t mid = lo + (hi - lo) / 2;

@@ -88,10 +88,10 @@ class Rng
 
     /**
      * Zipf-distributed rank in [0, n) with exponent s: one 53-bit draw
-     * r, inverted through the continuous Zipf CDF in closed form (one
-     * `pow` per draw). The server workload draws through a ZipfTable,
-     * which tabulates this closed form for its (n, s) and yields the
-     * same rank from the same generator state.
+     * inverted through the continuous Zipf CDF in closed form, one
+     * `pow` per draw. This is the closed form a ZipfTable reproduces;
+     * workload::ServerWorkload draws its object-store ranks through
+     * one, which yields the same rank from the same generator state.
      */
     std::uint64_t nextZipf(std::uint64_t n, double s);
 
