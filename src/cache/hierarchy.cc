@@ -1,11 +1,160 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <vector>
 
 #include "sim/logging.hh"
 
 namespace pktchase::cache
 {
+
+namespace
+{
+
+constexpr std::size_t kBlockReads = std::size_t{1} << 16;
+constexpr std::size_t kTapeBlocks = 16; ///< 2^20 reads, 1 MiB of deltas.
+
+/** A tape entry whose latencies sit in its block's exact list. */
+constexpr std::int8_t kExact = -128;
+
+/**
+ * The latency a timed read measures from @p base and one draw of each
+ * noise term: the jitter, then the outlier, then the clamp at one
+ * cycle. Tape and live reads both go through here.
+ */
+Cycles
+measured(const HierarchyConfig &cfg, Cycles base, double jitter,
+         bool outlier)
+{
+    double lat = static_cast<double>(base);
+    lat += jitter;
+    if (outlier)
+        lat += static_cast<double>(cfg.outlierCycles);
+    lat = std::max(lat, 1.0);
+    return static_cast<Cycles>(lat);
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+} // namespace
+
+/** 2^16 consecutive reads of a tape; immutable once published. */
+struct NoiseBlock
+{
+    /** The latencies of a read the delta byte cannot hold. */
+    struct Exact
+    {
+        std::uint32_t index; ///< Read index within the block.
+        Cycles hit;
+        Cycles miss;
+    };
+
+    /** Per read: the delta both base latencies take, or kExact. */
+    std::array<std::int8_t, kBlockReads> delta;
+    std::vector<Exact> exact; ///< The kExact reads, by index.
+};
+
+/** One config's noise stream, computed once per process. */
+class NoiseTape
+{
+  public:
+    explicit NoiseTape(const HierarchyConfig &cfg) : cfg_(cfg), gen_(cfg.seed)
+    {
+    }
+
+    /** Block @p b, made on first request; nullptr past the tape. */
+    const NoiseBlock *
+    block(std::size_t b)
+    {
+        if (b >= kTapeBlocks)
+            return nullptr;
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (; built_ <= b; ++built_)
+            blocks_[built_] = makeBlock();
+        return blocks_[b].get();
+    }
+
+    /** The generator as the tape's last read left it. */
+    Rng
+    endState()
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (built_ != kTapeBlocks)
+            panic("NoiseTape::endState before the tape's last block");
+        return gen_;
+    }
+
+  private:
+    std::unique_ptr<const NoiseBlock>
+    makeBlock()
+    {
+        auto blk = std::make_unique<NoiseBlock>();
+        for (std::uint32_t i = 0; i < kBlockReads; ++i) {
+            const double jitter =
+                gen_.nextGaussian(0.0, cfg_.timerNoiseSigma);
+            const bool outlier = gen_.nextBool(cfg_.outlierProb);
+            const Cycles hit =
+                measured(cfg_, cfg_.llcHitLatency, jitter, outlier);
+            const Cycles miss =
+                measured(cfg_, cfg_.dramLatency, jitter, outlier);
+            // Unsigned deltas: d + 127 <= 254 keeps d in [-127, 127].
+            const Cycles d = hit - cfg_.llcHitLatency;
+            if (d == miss - cfg_.dramLatency && d + 127 <= 254) {
+                blk->delta[i] = static_cast<std::int8_t>(d);
+            } else {
+                blk->delta[i] = kExact;
+                blk->exact.push_back({i, hit, miss});
+            }
+        }
+        return blk;
+    }
+
+    const HierarchyConfig cfg_;
+    std::mutex mutex_;
+    Rng gen_; ///< Positioned after the last built block's reads.
+    std::size_t built_ = 0;
+    std::array<std::unique_ptr<const NoiseBlock>, kTapeBlocks> blocks_;
+};
+
+namespace
+{
+
+static_assert(sizeof(HierarchyConfig) == 6 * sizeof(std::uint64_t),
+              "key the noise tapes on every HierarchyConfig field");
+
+/** The tape of @p cfg, shared by every hierarchy of that config. */
+NoiseTape &
+tapeFor(const HierarchyConfig &cfg)
+{
+    using Key = std::array<std::uint64_t, 6>;
+    struct Registry
+    {
+        std::mutex mutex;
+        std::map<Key, std::unique_ptr<NoiseTape>> tapes;
+    };
+    // Never destroyed, so it outlives every hierarchy.
+    static Registry &registry = *new Registry;
+    const Key key{cfg.llcHitLatency,       cfg.dramLatency,
+                  bitsOf(cfg.timerNoiseSigma), bitsOf(cfg.outlierProb),
+                  cfg.outlierCycles,       cfg.seed};
+    const std::lock_guard<std::mutex> lock(registry.mutex);
+    std::unique_ptr<NoiseTape> &tape = registry.tapes[key];
+    if (!tape)
+        tape = std::make_unique<NoiseTape>(cfg);
+    return *tape;
+}
+
+} // namespace
 
 Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
                      std::unique_ptr<SliceHash> hash,
@@ -13,6 +162,7 @@ Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
     : cfg_(cfg),
       llc_(std::make_unique<Llc>(llc_cfg, std::move(hash),
                                  std::move(policy))),
+      onTape_(cfg.timerNoiseSigma != 0.0 || cfg.outlierProb != 0.0),
       rng_(cfg.seed)
 {
 }
@@ -21,17 +171,55 @@ Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
-    double lat = hit ? static_cast<double>(cfg_.llcHitLatency)
-                     : static_cast<double>(cfg_.dramLatency);
-    // With both noise terms zero the draws below add exactly 0.0, and
-    // rng_ has no other consumer, so skipping them changes no result.
-    if (cfg_.timerNoiseSigma != 0.0 || cfg_.outlierProb != 0.0) {
-        lat += rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
-        if (rng_.nextBool(cfg_.outlierProb))
-            lat += static_cast<double>(cfg_.outlierCycles);
+    if (next_ == end_ && !(onTape_ && nextBlock()))
+        return liveLatency(hit);
+    const std::int8_t d = *next_++;
+    if (d == kExact)
+        return exactLatency(hit);
+    return (hit ? cfg_.llcHitLatency : cfg_.dramLatency) +
+        static_cast<Cycles>(d);
+}
+
+bool
+Hierarchy::nextBlock()
+{
+    if (!tape_)
+        tape_ = &tapeFor(cfg_);
+    block_ = tape_->block(blocksRead_);
+    if (!block_) {
+        rng_ = tape_->endState();
+        onTape_ = false;
+        return false;
     }
-    lat = std::max(lat, 1.0);
-    return static_cast<Cycles>(lat);
+    ++blocksRead_;
+    next_ = block_->delta.data();
+    end_ = next_ + block_->delta.size();
+    return true;
+}
+
+Cycles
+Hierarchy::exactLatency(bool hit) const
+{
+    const auto index =
+        static_cast<std::uint32_t>(next_ - 1 - block_->delta.data());
+    const auto it = std::lower_bound(
+        block_->exact.begin(), block_->exact.end(), index,
+        [](const NoiseBlock::Exact &e, std::uint32_t i) {
+            return e.index < i;
+        });
+    return hit ? it->hit : it->miss;
+}
+
+Cycles
+Hierarchy::liveLatency(bool hit)
+{
+    const Cycles base = hit ? cfg_.llcHitLatency : cfg_.dramLatency;
+    // With both noise terms zero the draws would add exactly 0.0, and
+    // rng_ has no other consumer, so skipping them changes no result.
+    if (cfg_.timerNoiseSigma == 0.0 && cfg_.outlierProb == 0.0)
+        return static_cast<Cycles>(std::max(static_cast<double>(base), 1.0));
+    const double jitter = rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
+    return measured(cfg_, base, jitter, rng_.nextBool(cfg_.outlierProb));
 }
 
 bool
