@@ -47,26 +47,6 @@ PrimeProbeMonitor::primeAll(Cycles now)
     return t - now;
 }
 
-unsigned
-PrimeProbeMonitor::probeOne(std::size_t index, Cycles now,
-                            Cycles &elapsed)
-{
-    if (index >= sets_.size())
-        panic("PrimeProbeMonitor::probeOne out of range");
-    Cycles t = now;
-    unsigned misses = 0;
-    const std::size_t end = setStart_[index + 1];
-    for (std::size_t k = setStart_[index]; k < end; ++k) {
-        const Cycles lat = hier_.timedRead(lines_[k], t);
-        t += lat;
-        if (lat > missThreshold_)
-            ++misses;
-    }
-    timedLoads_ += end - setStart_[index];
-    elapsed = t - now;
-    return misses;
-}
-
 const ProbeSample &
 PrimeProbeMonitor::probeAll(Cycles now)
 {

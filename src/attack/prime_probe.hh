@@ -67,12 +67,6 @@ class PrimeProbeMonitor
      */
     const ProbeSample &probeAll(Cycles now);
 
-    /**
-     * Probe a single monitored set.
-     * @return Number of missing (evicted) lines observed.
-     */
-    unsigned probeOne(std::size_t index, Cycles now, Cycles &elapsed);
-
     /** Replace the eviction set at @p index (always-miss fallback). */
     void replaceSet(std::size_t index, EvictionSet set);
 
@@ -96,11 +90,10 @@ class PrimeProbeMonitor
 
     // Structure-of-arrays mirror of sets_: every monitored line,
     // concatenated in set order, with CSR-style per-set offsets. The
-    // walk loops (primeAll/probeAll/probeOne) iterate these flat
-    // arrays -- one contiguous stream of addresses instead of a
-    // pointer chase through per-set vectors -- in exactly the order
-    // the per-set walk used, so timestamps and RNG draws are
-    // unchanged. sets_ stays the source of truth for set() and
+    // walk loops (primeAll/probeAll) iterate these flat arrays -- one
+    // contiguous stream of addresses instead of a pointer chase
+    // through per-set vectors -- in exactly the order the per-set walk
+    // used, so timestamps and RNG draws are unchanged. sets_ stays the source of truth for set() and
     // replaceSet(), which rebuilds the mirror (rare: fallback path).
     std::vector<Addr> lines_;
     std::vector<std::size_t> setStart_; ///< size() + 1 offsets.
