@@ -68,7 +68,8 @@ struct NoiseBlock
 class NoiseTape
 {
   public:
-    explicit NoiseTape(const HierarchyConfig &cfg) : cfg_(cfg), gen_(cfg.seed)
+    explicit NoiseTape(const HierarchyConfig &cfg)
+        : cfg_(cfg), gen_(cfg.seed)
     {
     }
 
@@ -129,14 +130,13 @@ class NoiseTape
 namespace
 {
 
-static_assert(sizeof(HierarchyConfig) == 6 * sizeof(std::uint64_t),
-              "key the noise tapes on every HierarchyConfig field");
-
 /** The tape of @p cfg, shared by every hierarchy of that config. */
 NoiseTape &
 tapeFor(const HierarchyConfig &cfg)
 {
     using Key = std::array<std::uint64_t, 6>;
+    static_assert(sizeof(HierarchyConfig) == sizeof(Key),
+                  "key the noise tapes on every HierarchyConfig field");
     struct Registry
     {
         std::mutex mutex;

@@ -14,17 +14,18 @@
  * Noise contract: a hierarchy's i-th timed read draws the i-th
  * (Gaussian, outlier) pair of Rng(HierarchyConfig::seed), and nothing
  * else draws from that stream, so the noise on read i is a pure
- * function of (config, i). Every hierarchy of one config therefore
- * sees the same stream, and the process computes it once: a read-only
- * noise tape per config, shared by all of that config's hierarchies,
- * holds for each read one byte, the delta both the hit and the miss
- * latency take from their base. A read the byte cannot express (an
- * outlier, wide jitter, the clamp at one cycle) keeps its exact
- * (hit, miss) pair beside the tape. The tape grows on demand in
- * immutable blocks of 2^16 reads and stops at 2^20 reads (1 MiB);
- * a hierarchy that reads past its end copies the generator the tape
- * stopped at and draws on from there, as every read once did. A
- * noiseless config (both terms zero) makes no tape and no draw.
+ * function of (config, i): one stream per config. The process
+ * computes each stream once, into a read-only noise tape that every
+ * hierarchy of the config reads through its own cursor, from any
+ * thread. The tape holds one byte per read, the delta both the hit
+ * and the miss latency take from their base; a read the byte cannot
+ * express (an outlier, wide jitter, the clamp at one cycle) keeps its
+ * exact (hit, miss) pair beside the tape. The tape grows on demand in
+ * immutable blocks of 2^16 reads, each made when a cursor first
+ * reaches it and never freed, and stops at 2^20 reads (1 MiB). A
+ * hierarchy that reads past its end copies the generator as the tape
+ * left it and draws each later read live. A noiseless config (both
+ * terms zero) makes no tape and no draw.
  */
 
 #ifndef PKTCHASE_CACHE_HIERARCHY_HH
@@ -125,7 +126,7 @@ class Hierarchy
     const HierarchyConfig &config() const { return cfg_; }
 
   private:
-    /** Point the cursor at the next tape block. @return false past the tape. */
+    /** Move the cursor to the next tape block; false past the tape. */
     bool nextBlock();
 
     /** The exact latency of the read at next_ - 1, a kExact entry. */
@@ -139,15 +140,15 @@ class Hierarchy
     DmaStats dma_;
 
     // Cursor into the config's noise tape: the next read's entry and
-    // the end of its block. Both stay null until the first noisy timed
-    // read, for a noiseless config, and past the tape.
+    // the end of its block. They are equal before the first noisy
+    // timed read, for a noiseless config, and past the tape.
     const std::int8_t *next_ = nullptr;
     const std::int8_t *end_ = nullptr;
     const NoiseBlock *block_ = nullptr;
     NoiseTape *tape_ = nullptr;  ///< Looked up at the first block.
     std::size_t blocksRead_ = 0; ///< Tape blocks the cursor has entered.
     bool onTape_ = false;        ///< Noisy and not yet past the tape.
-    Rng rng_; ///< The tape's end state once past the tape.
+    Rng rng_; ///< Draws the reads past the tape.
 };
 
 } // namespace pktchase::cache

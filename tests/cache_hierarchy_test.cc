@@ -49,9 +49,9 @@ makeNoisyHier(const HierarchyConfig &cfg)
 constexpr std::uint64_t kLongWalk = (1u << 20) + (1u << 16) + 3;
 
 /**
- * The measured latency of one timed read as the hierarchy has always
- * computed it: the base latency, one Gaussian draw, one outlier trial,
- * then the clamp at one cycle.
+ * The measured latency of one timed read, written out per read: the
+ * base latency, one Gaussian draw, one outlier trial, then the clamp
+ * at one cycle.
  */
 Cycles
 referenceLatency(const HierarchyConfig &cfg, Rng &rng, bool hit)
