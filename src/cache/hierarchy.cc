@@ -38,6 +38,22 @@ measured(const HierarchyConfig &cfg, Cycles base, double jitter,
     return static_cast<Cycles>(lat);
 }
 
+/**
+ * A timed read's latency drawn live from @p rng: a noiseless config's
+ * reads, and the reads past the tape.
+ */
+Cycles
+liveLatency(const HierarchyConfig &cfg, Rng &rng, bool hit)
+{
+    const Cycles base = hit ? cfg.llcHitLatency : cfg.dramLatency;
+    // With both noise terms zero the draws would add exactly 0.0, and
+    // rng has no other consumer, so skipping them changes no result.
+    if (cfg.timerNoiseSigma == 0.0 && cfg.outlierProb == 0.0)
+        return static_cast<Cycles>(std::max(static_cast<double>(base), 1.0));
+    const double jitter = rng.nextGaussian(0.0, cfg.timerNoiseSigma);
+    return measured(cfg, base, jitter, rng.nextBool(cfg.outlierProb));
+}
+
 std::uint64_t
 bitsOf(double x)
 {
@@ -90,8 +106,6 @@ class NoiseTape
     endState()
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (built_ != kTapeBlocks)
-            panic("NoiseTape::endState before the tape's last block");
         return gen_;
     }
 
@@ -130,6 +144,19 @@ class NoiseTape
 namespace
 {
 
+/** The latency of @p block's kExact read at @p entry. */
+Cycles
+exactLatency(const NoiseBlock &block, const std::int8_t *entry, bool hit)
+{
+    const auto index = static_cast<std::uint32_t>(entry - block.delta.data());
+    const auto it = std::lower_bound(
+        block.exact.begin(), block.exact.end(), index,
+        [](const NoiseBlock::Exact &e, std::uint32_t i) {
+            return e.index < i;
+        });
+    return hit ? it->hit : it->miss;
+}
+
 /** The tape of @p cfg, shared by every hierarchy of that config. */
 NoiseTape &
 tapeFor(const HierarchyConfig &cfg)
@@ -162,7 +189,9 @@ Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
     : cfg_(cfg),
       llc_(std::make_unique<Llc>(llc_cfg, std::move(hash),
                                  std::move(policy))),
-      onTape_(cfg.timerNoiseSigma != 0.0 || cfg.outlierProb != 0.0),
+      tape_(cfg.timerNoiseSigma != 0.0 || cfg.outlierProb != 0.0
+                ? &tapeFor(cfg)
+                : nullptr),
       rng_(cfg.seed)
 {
 }
@@ -171,11 +200,11 @@ Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
-    if (next_ == end_ && !(onTape_ && nextBlock()))
-        return liveLatency(hit);
+    if (next_ == end_ && !(tape_ && nextBlock()))
+        return liveLatency(cfg_, rng_, hit);
     const std::int8_t d = *next_++;
     if (d == kExact)
-        return exactLatency(hit);
+        return exactLatency(*block_, next_ - 1, hit);
     return (hit ? cfg_.llcHitLatency : cfg_.dramLatency) +
         static_cast<Cycles>(d);
 }
@@ -183,43 +212,16 @@ Hierarchy::timedRead(Addr paddr, Cycles now)
 bool
 Hierarchy::nextBlock()
 {
-    if (!tape_)
-        tape_ = &tapeFor(cfg_);
     block_ = tape_->block(blocksRead_);
     if (!block_) {
         rng_ = tape_->endState();
-        onTape_ = false;
+        tape_ = nullptr;
         return false;
     }
     ++blocksRead_;
     next_ = block_->delta.data();
     end_ = next_ + block_->delta.size();
     return true;
-}
-
-Cycles
-Hierarchy::exactLatency(bool hit) const
-{
-    const auto index =
-        static_cast<std::uint32_t>(next_ - 1 - block_->delta.data());
-    const auto it = std::lower_bound(
-        block_->exact.begin(), block_->exact.end(), index,
-        [](const NoiseBlock::Exact &e, std::uint32_t i) {
-            return e.index < i;
-        });
-    return hit ? it->hit : it->miss;
-}
-
-Cycles
-Hierarchy::liveLatency(bool hit)
-{
-    const Cycles base = hit ? cfg_.llcHitLatency : cfg_.dramLatency;
-    // With both noise terms zero the draws would add exactly 0.0, and
-    // rng_ has no other consumer, so skipping them changes no result.
-    if (cfg_.timerNoiseSigma == 0.0 && cfg_.outlierProb == 0.0)
-        return static_cast<Cycles>(std::max(static_cast<double>(base), 1.0));
-    const double jitter = rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
-    return measured(cfg_, base, jitter, rng_.nextBool(cfg_.outlierProb));
 }
 
 bool

@@ -129,12 +129,6 @@ class Hierarchy
     /** Move the cursor to the next tape block; false past the tape. */
     bool nextBlock();
 
-    /** The exact latency of the read at next_ - 1, a kExact entry. */
-    Cycles exactLatency(bool hit) const;
-
-    /** Latency drawn from rng_: noiseless configs and reads past the tape. */
-    Cycles liveLatency(bool hit);
-
     HierarchyConfig cfg_;
     std::unique_ptr<Llc> llc_;
     DmaStats dma_;
@@ -145,9 +139,8 @@ class Hierarchy
     const std::int8_t *next_ = nullptr;
     const std::int8_t *end_ = nullptr;
     const NoiseBlock *block_ = nullptr;
-    NoiseTape *tape_ = nullptr;  ///< Looked up at the first block.
+    NoiseTape *tape_;            ///< Null if noiseless or past the tape.
     std::size_t blocksRead_ = 0; ///< Tape blocks the cursor has entered.
-    bool onTape_ = false;        ///< Noisy and not yet past the tape.
     Rng rng_; ///< Draws the reads past the tape.
 };
 
