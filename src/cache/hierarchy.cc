@@ -200,7 +200,7 @@ Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
-    if (next_ == end_ && !(tape_ && nextBlock()))
+    if (!tape_ || (next_ == end_ && !nextBlock()))
         return liveLatency(cfg_, rng_, hit);
     const std::int8_t d = *next_++;
     if (d == kExact)
