@@ -139,7 +139,7 @@ class Hierarchy
     const std::int8_t *next_ = nullptr;
     const std::int8_t *end_ = nullptr;
     const NoiseBlock *block_ = nullptr;
-    NoiseTape *tape_;            ///< Null if noiseless or past the tape.
+    NoiseTape *tape_ = nullptr;  ///< Null if noiseless or past the tape.
     std::size_t blocksRead_ = 0; ///< Tape blocks the cursor has entered.
     Rng rng_; ///< Draws the reads past the tape.
 };
